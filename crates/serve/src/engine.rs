@@ -224,6 +224,15 @@ impl ServeEngine {
         self.clock.now()
     }
 
+    /// The earliest instant at which [`advance_to`](Self::advance_to)
+    /// would poll, or `None` while the scheduler is quiescent. A live
+    /// driver blocks until then (or until traffic); waking later than
+    /// this delays a poll, which rule 1 allows, and waking earlier is
+    /// harmless because `advance_to` only runs what is due.
+    pub fn next_wakeup(&self) -> Option<SimTime> {
+        self.server.next_wakeup(self.cursor)
+    }
+
     /// Arms `session.*`/`conn.*` instants on `tel` (off by default).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;

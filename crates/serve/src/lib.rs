@@ -17,20 +17,28 @@
 //! - [`engine`] — the serving engine: one `SenseAidServer` plus a
 //!   `Clock`, applying decoded requests at receive time and routing
 //!   assignment pushes to device sessions.
-//! - [`tcp`] — the live mode: listener + per-shard event-loop workers
-//!   over non-blocking sockets, graceful shutdown with a WAL flush.
+//! - [`tcp`] — the live mode (unix-only): listener + per-shard
+//!   event-loop workers over non-blocking sockets, every thread blocked
+//!   in one readiness wait and woken through a pipe, whole batches handed
+//!   between threads, graceful shutdown with a WAL flush.
+//! - `poll` (private) — the `poll(2)` binding that wait is built on: the
+//!   crate's one foreign call, with its safety argument beside it, and
+//!   the one module exempt from the lint below.
 //! - [`loadgen`] — a closed-loop load generator reporting requests/sec
 //!   and p50/p99/p999 latency ([`hist`]).
 //! - [`trace`] — recorded device-event traces and the sim↔live
 //!   byte-identity harness (`durable_digest` equality).
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`, so that exactly one module can opt back in:
+// `poll` declares the libc `poll(2)` symbol (see its safety argument).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod conn;
 pub mod engine;
 pub mod hist;
 pub mod loadgen;
+mod poll;
 pub mod tcp;
 pub mod trace;
 pub mod wire;

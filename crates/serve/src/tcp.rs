@@ -11,11 +11,30 @@
 //! edges, exactly like the sim's deterministic serial commit.
 //!
 //! ```text
-//!  clients ──TCP──▶ worker 0 ─┐  frames                ┌─▶ worker 0 ──▶ clients
-//!  clients ──TCP──▶ worker 1 ─┼────────▶ engine thread ┼─▶ worker 1 ──▶ clients
-//!  clients ──TCP──▶ worker N ─┘   (SenseAidServer +    └─▶ worker N ──▶ clients
-//!                                  WallClock + WAL)
+//!  clients ──TCP──▶ worker 0 ─┐  Event::Frames          ┌─▶ worker 0 ──▶ clients
+//!  clients ──TCP──▶ worker 1 ─┼────────▶ engine thread ─┼─▶ worker 1 ──▶ clients
+//!  clients ──TCP──▶ worker N ─┘   (SenseAidServer +     └─▶ worker N ──▶ clients
+//!                                  WallClock + WAL)   WorkerMsg::Send
 //! ```
+//!
+//! **Nothing sleeps; every thread blocks in one `poll(2)`**
+//! (`crate::poll`, which makes this mode unix-only). A worker waits on
+//! its wake pipe plus its connections' sockets (`POLLIN`, and `POLLOUT`
+//! only while a connection has unsent bytes) until the next reaper
+//! sweep; the engine thread waits on the listener plus its wake pipe
+//! until the earlier of the `duration` deadline and the scheduler's next
+//! wakeup ([`ServeEngine::next_wakeup`]). Accepts, traffic, scheduled
+//! polls and [`ServeHandle::shutdown`] all interrupt that same wait, so
+//! a request crosses the server in four thread hand-offs and no timer
+//! quantum, and an idle server makes no system calls between sweeps.
+//!
+//! **Hand-offs carry whole batches.** A worker sends the engine one
+//! `Event::Frames` per connection read (every frame that read
+//! completed) and the engine sends each worker one `WorkerMsg::Send`
+//! per batch of events it drained (every frame that batch produced for
+//! the worker's connections, scheduler pushes included), each followed
+//! by one [`Waker::wake`]. Order within a connection is the order of the
+//! `Vec`s, so responses stay FIFO.
 //!
 //! Graceful shutdown (duration elapsed, [`ServeHandle::shutdown`], or a
 //! wire `Shutdown` request): the engine advances the scheduler to "now",
@@ -24,11 +43,13 @@
 //! smoke job) can assert it was clean.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd as _, RawFd};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,8 +58,9 @@ use senseaid_core::persist::{DirStorage, PersistConfig};
 use senseaid_core::runtime::{Transport, TransportError, WallClock};
 use senseaid_sim::SimTime;
 
-use crate::conn::{ConnError, Connection};
+use crate::conn::Connection;
 use crate::engine::{ConnId, FlushSummary, ServeEngine};
+use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::trace::trace_server;
 use crate::wire::{
     decode_frame, encode_push, WireFrame, WirePush, DISCONNECT_IDLE, DISCONNECT_WRITE_OVERFLOW,
@@ -141,6 +163,8 @@ impl ServeSummary {
 pub struct ServeHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    /// Wakes the engine thread so it sees `shutdown` at once.
+    waker: Arc<Waker>,
     thread: JoinHandle<ServeSummary>,
 }
 
@@ -153,6 +177,7 @@ impl ServeHandle {
     /// Requests a graceful shutdown and waits for the summary.
     pub fn shutdown(self) -> ServeSummary {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.waker.wake();
         self.join()
     }
 
@@ -237,14 +262,83 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Worker → engine notifications.
+/// The sending half of a thread's wake pipe: makes the owner's
+/// [`poll::wait`] return. Always called *after* the message it announces
+/// was put in the owner's channel.
+struct Waker {
+    tx: UnixStream,
+    /// Set by the first `wake` of a burst, which alone writes a byte;
+    /// cleared by the owner in [`WakeRx::clear`].
+    notified: AtomicBool,
+}
+
+impl Waker {
+    fn wake(&self) {
+        if !self.notified.swap(true, Ordering::SeqCst) {
+            // Non-blocking. It cannot fill up (one byte per cleared
+            // flag), and a failed write means the owner is gone.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+}
+
+/// The receiving half: the fd its owner polls, and the reset.
+struct WakeRx {
+    rx: UnixStream,
+    waker: Arc<Waker>,
+}
+
+impl WakeRx {
+    /// Re-arms the pipe; the owner calls this after every wait and
+    /// *before* it drains its channel. `readable` is what the wait said
+    /// about [`fd`](Self::fd).
+    ///
+    /// The order — pipe, flag, then (in the caller) channel — is what
+    /// keeps wake-ups from being lost. A sender that finds the flag set
+    /// writes nothing, which is only safe if its message is certain to
+    /// be seen: it is, because the flag it read was set before this
+    /// call cleared it, so its `send` precedes the channel drain that
+    /// follows. A sender that finds the flag clear writes a byte, which
+    /// stays in the pipe (the pipe was emptied first) and ends the next
+    /// wait at once.
+    fn clear(&self, readable: bool) {
+        if readable {
+            let mut buf = [0u8; 64];
+            while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
+        }
+        self.waker.notified.store(false, Ordering::SeqCst);
+    }
+
+    fn fd(&self) -> RawFd {
+        self.rx.as_raw_fd()
+    }
+}
+
+fn wake_pair() -> io::Result<(Arc<Waker>, WakeRx)> {
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    let waker = Arc::new(Waker {
+        tx,
+        notified: AtomicBool::new(false),
+    });
+    let rx = WakeRx {
+        rx,
+        waker: Arc::clone(&waker),
+    };
+    Ok((waker, rx))
+}
+
+/// Worker → engine notifications, each followed by one wake of the
+/// engine per worker iteration.
 enum Event {
-    Frame {
+    /// Every frame one read of `conn` completed, as `(kind, payload)`.
+    Frames {
         conn: ConnId,
-        kind: u8,
-        payload: Vec<u8>,
+        frames: Vec<(u8, Vec<u8>)>,
     },
-    BadFrame,
+    /// Corrupt stretches a read resynced past.
+    BadFrames(u64),
     Disconnect {
         conn: ConnId,
     },
@@ -264,13 +358,15 @@ struct Supervision {
     max_outbuf_bytes: usize,
 }
 
-/// How often the lazy reaper sweeps a worker's connections.
+/// How often the reaper sweeps a worker's connections.
 const REAP_INTERVAL: Duration = Duration::from_millis(250);
 
 /// One supervised connection: the pump plus the deadlines the reaper
 /// checks.
 struct Supervised {
     conn: Connection<TcpTransport>,
+    /// The socket, for the poll set.
+    fd: RawFd,
     /// Last instant a complete frame (or counted bad frame) arrived.
     last_frame: Instant,
     /// When the outbound queue first failed to drain fully, if it is
@@ -279,14 +375,6 @@ struct Supervised {
 }
 
 impl Supervised {
-    fn new(conn: Connection<TcpTransport>) -> Self {
-        Supervised {
-            conn,
-            last_frame: Instant::now(),
-            stalled_since: None,
-        }
-    }
-
     /// Why this connection should be reaped right now, if any reason.
     fn reap_reason(&self, sup: &Supervision, now: Instant) -> Option<u8> {
         if self.conn.unsent() > sup.max_outbuf_bytes {
@@ -304,10 +392,37 @@ impl Supervised {
     }
 }
 
-/// Engine → worker commands.
+/// A worker's way to the engine: events go into the channel as they
+/// happen, one wake follows at the end of the worker's turn.
+struct Reporter {
+    events: Sender<Event>,
+    engine: Arc<Waker>,
+    unannounced: bool,
+}
+
+impl Reporter {
+    fn send(&mut self, event: Event) {
+        let _ = self.events.send(event);
+        self.unannounced = true;
+    }
+
+    fn announce(&mut self) {
+        if std::mem::take(&mut self.unannounced) {
+            self.engine.wake();
+        }
+    }
+}
+
+/// Engine → worker commands, each followed by one wake of the worker.
 enum WorkerMsg {
-    Conn { conn: ConnId, stream: TcpStream },
-    Send { conn: ConnId, frame: Vec<u8> },
+    Conn {
+        conn: ConnId,
+        stream: TcpStream,
+    },
+    /// Sealed frames for this worker's connections, in send order.
+    Send {
+        frames: Vec<(ConnId, Vec<u8>)>,
+    },
     Shutdown,
 }
 
@@ -330,141 +445,172 @@ pub fn serve(options: ServeOptions) -> io::Result<ServeHandle> {
     };
     let shutdown = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&shutdown);
+    let (waker, wake_rx) = wake_pair()?;
+    let engine_waker = Arc::clone(&waker);
     let thread = std::thread::Builder::new()
         .name("senseaid-serve".to_owned())
-        .spawn(move || run(listener, options, storage, flag))?;
+        .spawn(move || run(listener, options, storage, flag, engine_waker, wake_rx))?;
     Ok(ServeHandle {
         addr,
         shutdown,
+        waker,
         thread,
     })
 }
 
-fn worker_loop(rx: Receiver<WorkerMsg>, events: Sender<Event>, sup: Supervision) {
+/// One socket thread. Each turn: block until a command, a socket or the
+/// reaper is due; take the commands; read the sockets that are ready;
+/// reap if due; write what is queued and rebuild the poll set.
+fn worker_loop(rx: Receiver<WorkerMsg>, wake: WakeRx, mut engine: Reporter, sup: Supervision) {
     let mut conns: HashMap<ConnId, Supervised> = HashMap::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut next_reap = Instant::now() + REAP_INTERVAL;
+    // The poll set: the wake pipe, then one entry per connection, with
+    // the connection of `fds[i + 1]` in `ids[i]`.
+    let mut fds = vec![PollFd::new(wake.fd(), POLLIN)];
+    let mut ids: Vec<ConnId> = Vec::new();
     loop {
-        let mut did_work = false;
-        let mut shutting_down = false;
+        // Without connections there is nothing to reap: wait for a command.
+        let timeout =
+            (!conns.is_empty()).then(|| next_reap.saturating_duration_since(Instant::now()));
+        if poll::wait(&mut fds, timeout).is_err() {
+            return; // the kernel refused the set (out of memory): cannot serve
+        }
+
+        wake.clear(fds[0].ready(POLLIN));
         loop {
             match rx.try_recv() {
                 Ok(WorkerMsg::Conn { conn, stream }) => {
-                    did_work = true;
+                    let fd = stream.as_raw_fd();
                     if let Ok(transport) = TcpTransport::new(stream) {
-                        conns.insert(conn, Supervised::new(Connection::new(transport)));
+                        conns.insert(
+                            conn,
+                            Supervised {
+                                conn: Connection::new(transport),
+                                fd,
+                                last_frame: Instant::now(),
+                                stalled_since: None,
+                            },
+                        );
                     }
                 }
-                Ok(WorkerMsg::Send { conn, frame }) => {
-                    did_work = true;
-                    if let Some(s) = conns.get_mut(&conn) {
-                        s.conn.queue(&frame);
+                Ok(WorkerMsg::Send { frames }) => {
+                    for (conn, frame) in frames {
+                        if let Some(s) = conns.get_mut(&conn) {
+                            s.conn.queue(&frame);
+                        }
                     }
                 }
-                Ok(WorkerMsg::Shutdown) => shutting_down = true,
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => shutting_down = true,
+                Ok(WorkerMsg::Shutdown) | Err(TryRecvError::Disconnected) => {
+                    // Final courtesy flush of anything already queued, then out.
+                    for s in conns.values_mut() {
+                        let _ = s.conn.flush();
+                    }
+                    return;
+                }
             }
-            if shutting_down {
-                break;
-            }
-        }
-        if shutting_down {
-            // Final courtesy flush of anything already queued, then out.
-            for s in conns.values_mut() {
-                let _ = s.conn.flush();
-            }
-            return;
         }
 
-        let mut dead: Vec<ConnId> = Vec::new();
-        for (&conn, s) in conns.iter_mut() {
+        // Read the sockets the wait reported. An error or hang-up is read
+        // too: `pump_reads` turns it into the truthful `Disconnect`.
+        for (ready, &conn) in fds[1..].iter().zip(&ids) {
+            if !ready.ready(POLLIN | POLLERR | POLLHUP | POLLNVAL) {
+                continue;
+            }
+            let Some(s) = conns.get_mut(&conn) else {
+                continue;
+            };
             match s.conn.pump_reads(&mut scratch) {
                 Ok(frames) => {
                     // Corrupt stretches were resynced past, not fatal:
                     // report them for the stats, keep the connection.
                     let bad = s.conn.take_bad_frames();
-                    for _ in 0..bad {
-                        did_work = true;
-                        let _ = events.send(Event::BadFrame);
+                    if bad > 0 {
+                        engine.send(Event::BadFrames(bad));
                     }
                     if bad > 0 || !frames.is_empty() {
                         s.last_frame = Instant::now();
                     }
-                    for (kind, payload) in frames {
-                        did_work = true;
-                        let _ = events.send(Event::Frame {
-                            conn,
-                            kind,
-                            payload,
-                        });
+                    if !frames.is_empty() {
+                        engine.send(Event::Frames { conn, frames });
                     }
                 }
-                Err(ConnError::Transport(TransportError::Closed)) => {
-                    dead.push(conn);
-                    let _ = events.send(Event::Disconnect { conn });
-                    continue;
-                }
                 Err(_) => {
-                    // I/O failure: the stream has no continuation.
-                    dead.push(conn);
-                    let _ = events.send(Event::Disconnect { conn });
-                    continue;
+                    // Closed or failed: the stream has no continuation.
+                    conns.remove(&conn);
+                    engine.send(Event::Disconnect { conn });
                 }
             }
-            match s.conn.flush() {
-                Ok(true) => s.stalled_since = None,
-                Ok(false) => {
-                    s.stalled_since.get_or_insert_with(Instant::now);
-                }
-                Err(_) => {
-                    dead.push(conn);
-                    let _ = events.send(Event::Disconnect { conn });
-                }
-            }
-        }
-        for conn in dead {
-            conns.remove(&conn);
         }
 
-        // Lazy reaper: piggybacks on the loop's existing wakeups instead
-        // of owning a timer thread; deadlines are only as fine-grained as
-        // REAP_INTERVAL, which is the honest cost of laziness.
+        // The reaper. Its sweep is this loop's only timer: the wait above
+        // ends at `next_reap` at the latest, so deadlines are as
+        // fine-grained as REAP_INTERVAL whether or not there is traffic.
         let now = Instant::now();
         if now >= next_reap {
             next_reap = now + REAP_INTERVAL;
-            let mut reaped: Vec<(ConnId, u8)> = Vec::new();
-            for (&conn, s) in conns.iter_mut() {
-                if let Some(reason) = s.reap_reason(&sup, now) {
-                    // Truthful teardown: tell the peer why, best-effort
-                    // (an overflowing peer likely will not read it, but
-                    // the frame is on the wire if it ever does).
-                    s.conn.queue(&encode_push(&WirePush::Disconnect {
-                        code: reason,
-                        detail: String::new(),
-                    }));
-                    let _ = s.conn.flush();
-                    reaped.push((conn, reason));
-                }
-            }
-            for (conn, reason) in reaped {
-                conns.remove(&conn);
-                did_work = true;
-                let _ = events.send(Event::Reaped { conn, reason });
-            }
+            conns.retain(|&conn, s| {
+                let Some(reason) = s.reap_reason(&sup, now) else {
+                    return true;
+                };
+                // Truthful teardown: tell the peer why, best-effort (an
+                // overflowing peer likely will not read it, but the frame
+                // is on the wire if it ever does).
+                s.conn.queue(&encode_push(&WirePush::Disconnect {
+                    code: reason,
+                    detail: String::new(),
+                }));
+                let _ = s.conn.flush();
+                engine.send(Event::Reaped { conn, reason });
+                false
+            });
         }
 
-        if !did_work {
-            std::thread::sleep(Duration::from_micros(500));
-        }
+        // Write what is queued, and build the next wait's poll set:
+        // writability is only asked about while bytes are left over.
+        fds.truncate(1);
+        ids.clear();
+        conns.retain(|&conn, s| {
+            if s.conn.unsent() > 0 {
+                match s.conn.flush() {
+                    Ok(true) => s.stalled_since = None,
+                    Ok(false) => {
+                        s.stalled_since.get_or_insert_with(Instant::now);
+                    }
+                    Err(_) => {
+                        engine.send(Event::Disconnect { conn });
+                        return false;
+                    }
+                }
+            }
+            let backed_up = if s.conn.unsent() > 0 { POLLOUT } else { 0 };
+            fds.push(PollFd::new(s.fd, POLLIN | backed_up));
+            ids.push(conn);
+            true
+        });
+
+        engine.announce();
     }
 }
+
+/// Events the engine takes between two looks at the listener, the
+/// deadlines and the shutdown flag.
+const ENGINE_BATCH: usize = 256;
+
+/// How long the listener is left out of the wait after `accept` failed
+/// for a reason that waiting does not cure (descriptor exhaustion): the
+/// pending connection keeps the listener readable, and a wait that
+/// returns at once is a busy loop.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 fn run(
     listener: TcpListener,
     options: ServeOptions,
     storage: Option<DirStorage>,
     shutdown_flag: Arc<AtomicBool>,
+    waker: Arc<Waker>,
+    wake: WakeRx,
 ) -> ServeSummary {
     let mut server = trace_server(options.shards);
     let clock = if let Some(storage) = storage {
@@ -488,20 +634,30 @@ fn run(
         max_outbuf_bytes: options.max_outbuf_bytes,
     };
     let (event_tx, event_rx) = mpsc::channel::<Event>();
-    let mut worker_txs: Vec<Sender<WorkerMsg>> = Vec::with_capacity(workers);
+    let mut worker_txs: Vec<(Sender<WorkerMsg>, Arc<Waker>)> = Vec::with_capacity(workers);
     let mut worker_joins: Vec<JoinHandle<()>> = Vec::with_capacity(workers);
     for i in 0..workers {
         let (tx, rx) = mpsc::channel::<WorkerMsg>();
-        let events = event_tx.clone();
-        worker_txs.push(tx);
+        let (worker_waker, worker_wake) = wake_pair().expect("worker wake pipe");
+        let engine = Reporter {
+            events: event_tx.clone(),
+            engine: Arc::clone(&waker),
+            unannounced: false,
+        };
+        worker_txs.push((tx, worker_waker));
         worker_joins.push(
             std::thread::Builder::new()
                 .name(format!("senseaid-serve-worker-{i}"))
-                .spawn(move || worker_loop(rx, events, supervision))
+                .spawn(move || worker_loop(rx, worker_wake, engine, supervision))
                 .expect("spawn worker thread"),
         );
     }
     drop(event_tx);
+    let tell = |worker: usize, msg: WorkerMsg| {
+        let (tx, waker) = &worker_txs[worker];
+        let _ = tx.send(msg);
+        waker.wake();
+    };
 
     let worker_of = |conn: ConnId| (conn as usize) % workers;
     let deadline = options.duration.map(|d| Instant::now() + d);
@@ -511,62 +667,104 @@ fn run(
     let mut idle_disconnects = 0u64;
     let mut overflow_disconnects = 0u64;
     let mut shutdown_requested = false;
+    // Events were left in the channel at the batch cap: do not block.
+    let mut backlog = false;
+    let mut accept_after: Option<Instant> = None;
+    // What the current batch produced, per worker.
+    let mut outgoing: Vec<Vec<(ConnId, Vec<u8>)>> = vec![Vec::new(); workers];
 
     loop {
+        let now = Instant::now();
         if shutdown_requested
             || shutdown_flag.load(Ordering::SeqCst)
-            || deadline.is_some_and(|d| Instant::now() >= d)
+            || deadline.is_some_and(|d| now >= d)
         {
+            break;
+        }
+        if accept_after.is_some_and(|t| now >= t) {
+            accept_after = None;
+        }
+
+        // The one wait: a connection, a wake (events, shutdown), or the
+        // earliest of the deadlines. A scheduler wakeup may fire up to a
+        // millisecond late (the timeout rounds up), never early:
+        // `advance_to` below only runs what is due on the clock.
+        let timeout = if backlog {
+            Some(Duration::ZERO)
+        } else {
+            let due = engine.next_wakeup().map(|at| {
+                Duration::from_micros(at.as_micros().saturating_sub(engine.now().as_micros()))
+            });
+            [deadline, accept_after]
+                .into_iter()
+                .flatten()
+                .map(|t| t.saturating_duration_since(now))
+                .chain(due)
+                .min()
+        };
+        let listener_fd = if accept_after.is_some() {
+            -1
+        } else {
+            listener.as_raw_fd()
+        };
+        let mut fds = [
+            PollFd::new(listener_fd, POLLIN),
+            PollFd::new(wake.fd(), POLLIN),
+        ];
+        if poll::wait(&mut fds, timeout).is_err() {
             break;
         }
 
         // Accept everything pending; hand sockets to their workers.
-        loop {
+        while fds[0].ready(POLLIN | POLLERR) {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     next_conn += 1;
                     connections += 1;
                     let conn = next_conn;
-                    let _ = worker_txs[worker_of(conn)].send(WorkerMsg::Conn { conn, stream });
+                    tell(worker_of(conn), WorkerMsg::Conn { conn, stream });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                // The peer gave up while queued; the next one may be fine.
+                Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+                Err(_) => {
+                    accept_after = Some(Instant::now() + ACCEPT_RETRY);
+                    break;
+                }
             }
         }
 
-        // Wait briefly for traffic, then batch-drain what arrived.
-        let first = match event_rx.recv_timeout(Duration::from_millis(1)) {
-            Ok(ev) => Some(ev),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let mut batch: Vec<Event> = first.into_iter().collect();
-        while batch.len() < 256 {
-            match event_rx.try_recv() {
-                Ok(ev) => batch.push(ev),
-                Err(_) => break,
-            }
-        }
-        for event in batch {
+        wake.clear(fds[1].ready(POLLIN));
+        backlog = true;
+        for _ in 0..ENGINE_BATCH {
+            let event = match event_rx.try_recv() {
+                Ok(event) => event,
+                Err(TryRecvError::Empty) => {
+                    backlog = false;
+                    break;
+                }
+                // Every worker is gone; nobody is left to serve.
+                Err(TryRecvError::Disconnected) => {
+                    shutdown_requested = true;
+                    break;
+                }
+            };
             match event {
-                Event::Frame {
-                    conn,
-                    kind,
-                    payload,
-                } => match decode_frame(kind, &payload) {
-                    Ok(WireFrame::Request(request)) => {
-                        let output = engine.handle(conn, request);
-                        for (to, frame) in output.frames {
-                            let _ =
-                                worker_txs[worker_of(to)].send(WorkerMsg::Send { conn: to, frame });
-                        }
-                        if output.shutdown {
-                            shutdown_requested = true;
+                Event::Frames { conn, frames } => {
+                    for (kind, payload) in frames {
+                        match decode_frame(kind, &payload) {
+                            Ok(WireFrame::Request(request)) => {
+                                let output = engine.handle(conn, request);
+                                for (to, frame) in output.frames {
+                                    outgoing[worker_of(to)].push((to, frame));
+                                }
+                                shutdown_requested |= output.shutdown;
+                            }
+                            Ok(_) | Err(_) => bad_frames += 1,
                         }
                     }
-                    Ok(_) | Err(_) => bad_frames += 1,
-                },
-                Event::BadFrame => bad_frames += 1,
+                }
+                Event::BadFrames(count) => bad_frames += count,
                 Event::Disconnect { conn } => engine.on_disconnect(conn),
                 Event::Reaped { conn, reason } => {
                     if reason == DISCONNECT_IDLE {
@@ -579,17 +777,23 @@ fn run(
             }
         }
 
-        // Fire any wakeups that came due on the wall clock.
-        let now = engine.now();
-        for (to, frame) in engine.advance_to(now) {
-            let _ = worker_txs[worker_of(to)].send(WorkerMsg::Send { conn: to, frame });
+        // Fire any wakeups that came due on the wall clock, then hand
+        // each worker everything this turn produced for it in one message.
+        for (to, frame) in engine.advance_to(engine.now()) {
+            outgoing[worker_of(to)].push((to, frame));
+        }
+        for (worker, frames) in outgoing.iter_mut().enumerate() {
+            if !frames.is_empty() {
+                let frames = std::mem::take(frames);
+                tell(worker, WorkerMsg::Send { frames });
+            }
         }
     }
 
     // Graceful shutdown: flush durable state, let workers drain writes.
     let flush = engine.shutdown_flush();
-    for tx in &worker_txs {
-        let _ = tx.send(WorkerMsg::Shutdown);
+    for worker in 0..workers {
+        tell(worker, WorkerMsg::Shutdown);
     }
     for join in worker_joins {
         let _ = join.join();
@@ -603,5 +807,95 @@ fn run(
         idle_disconnects,
         overflow_disconnects,
         flush,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Bytes sitting in the wake pipe right now.
+    fn pending_bytes(wake: &WakeRx) -> usize {
+        let mut buf = [0u8; 256];
+        let mut total = 0;
+        while let Ok(n) = (&wake.rx).read(&mut buf) {
+            if n == 0 {
+                break;
+            }
+            total += n;
+        }
+        total
+    }
+
+    #[test]
+    fn a_burst_of_wakes_costs_one_byte_until_cleared() {
+        let (waker, wake) = wake_pair().unwrap();
+        for _ in 0..10_000 {
+            waker.wake();
+        }
+        assert_eq!(pending_bytes(&wake), 1);
+        // Not re-armed yet: further wakes are still the same burst.
+        waker.wake();
+        assert_eq!(pending_bytes(&wake), 0);
+        wake.clear(false);
+        waker.wake();
+        waker.wake();
+        let mut fds = [PollFd::new(wake.fd(), POLLIN)];
+        assert_eq!(poll::wait(&mut fds, None).unwrap(), 1);
+        wake.clear(fds[0].ready(POLLIN));
+        assert_eq!(
+            pending_bytes(&wake),
+            0,
+            "clear drains the pipe it was told is readable"
+        );
+    }
+
+    /// The consumer blocks only in `wait(None)`, so one lost wake-up
+    /// leaves it asleep with messages queued; the watchdog turns that
+    /// into a failure instead of a hung suite.
+    #[test]
+    fn no_wakeup_is_lost_under_concurrent_senders() {
+        const PRODUCERS: u64 = 4;
+        const SENDS: u64 = 100_000;
+        let (waker, wake) = wake_pair().unwrap();
+        let (tx, rx) = mpsc::channel::<u64>();
+        let (done, done_rx) = wake_pair().unwrap();
+        let consumer = std::thread::spawn(move || {
+            let (mut count, mut sum) = (0u64, 0u64);
+            let mut fds = [PollFd::new(wake.fd(), POLLIN)];
+            while count < PRODUCERS * SENDS {
+                poll::wait(&mut fds, None).unwrap();
+                wake.clear(fds[0].ready(POLLIN));
+                while let Ok(v) = rx.try_recv() {
+                    count += 1;
+                    sum += v;
+                }
+            }
+            done.wake();
+            (count, sum)
+        });
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let (tx, waker) = (tx.clone(), Arc::clone(&waker));
+                std::thread::spawn(move || {
+                    for i in 0..SENDS {
+                        tx.send(p * SENDS + i).unwrap();
+                        waker.wake();
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        let mut fds = [PollFd::new(done_rx.fd(), POLLIN)];
+        let finished = poll::wait(&mut fds, Some(Duration::from_secs(60))).unwrap();
+        assert_eq!(
+            finished, 1,
+            "consumer asleep with messages queued: a wake-up was lost"
+        );
+        let (count, sum) = consumer.join().unwrap();
+        let n = PRODUCERS * SENDS;
+        assert_eq!((count, sum), (n, n * (n - 1) / 2));
     }
 }
