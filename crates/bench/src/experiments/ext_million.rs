@@ -78,7 +78,7 @@ fn centre() -> GeoPoint {
 }
 
 /// Deterministic 64-bit mix (splitmix64 finaliser) for device placement.
-fn mix(mut x: u64) -> u64 {
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -86,7 +86,7 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Uniform offset in `[-half, half)` metres from lane `lane` of `x`.
-fn offset(x: u64, lane: u64, half: f64) -> f64 {
+pub(crate) fn offset(x: u64, lane: u64, half: f64) -> f64 {
     let u = mix(x ^ lane.wrapping_mul(0xa076_1d64_78bd_642f)) >> 11;
     (u as f64 / (1u64 << 53) as f64) * 2.0 * half - half
 }
@@ -145,21 +145,6 @@ fn fnv(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x100_0000_01b3)
 }
 
-/// Wall-clock split of one [`drive_instrumented`] run.
-#[derive(Debug, Clone, Copy)]
-pub struct DriveTiming {
-    /// The whole drive, milliseconds — dominated by the one-time
-    /// registration + first-observation load of the population.
-    pub total_ms: f64,
-    /// The steady-state round loop only (state churn, polls, deliveries),
-    /// milliseconds: the recurring control-plane work a long-lived
-    /// deployment actually repeats, and the slice the sweep cells compare.
-    pub rounds_ms: f64,
-    /// Just the `poll` calls, summed, milliseconds — the slice the
-    /// two-phase pipeline (DESIGN.md §14) restructures.
-    pub poll_ms: f64,
-}
-
 /// Runs the deterministic drive sequence against a fresh server using the
 /// given store factory and shard count. Pure in its inputs: the returned
 /// outcome is byte-identical for any store implementation, shard count, or
@@ -174,12 +159,14 @@ pub fn drive(
 }
 
 /// [`drive`] with the task population and the poll worker count exposed,
-/// returning the wall-clock split alongside the outcome. More tasks per
-/// round make the drive poll-heavy (the default workload is dominated by
-/// registration); `workers` pins [`SenseAidConfig::shard_workers`] so the
-/// serial legacy path (`Some(1)`) and the two-phase pipeline can be timed
-/// on the same workload. The outcome is byte-identical for every worker
-/// count — asserted by the tests below and re-asserted by the perf cells.
+/// returning alongside the outcome the summed wall-clock of just the
+/// `poll` calls, milliseconds — the slice the two-phase pipeline
+/// (DESIGN.md §14) restructures. More tasks per round make the drive
+/// poll-heavy (the default workload is dominated by registration);
+/// `workers` pins [`SenseAidConfig::shard_workers`] so the serial legacy
+/// path (`Some(1)`) and the two-phase pipeline can be timed on the same
+/// workload. The outcome is byte-identical for every worker count —
+/// asserted by the tests below and re-asserted by the perf cells.
 pub fn drive_instrumented(
     devices: usize,
     shards: usize,
@@ -187,8 +174,7 @@ pub fn drive_instrumented(
     seed: u64,
     tasks: usize,
     workers: Option<usize>,
-) -> (DriveOutcome, DriveTiming) {
-    let started = Instant::now();
+) -> (DriveOutcome, f64) {
     let span = span_m(devices);
     let half = span / 2.0;
     let network = grid_network(span);
@@ -251,7 +237,6 @@ pub fn drive_instrumented(
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut assigned = 0u64;
     let mut poll_wall = std::time::Duration::ZERO;
-    let rounds_started = Instant::now();
     let churn = (devices / 128).max(1) as u64;
     for minute in 0..ROUNDS {
         let t = SimTime::from_mins(minute);
@@ -286,7 +271,6 @@ pub fn drive_instrumented(
         }
     }
 
-    let rounds_ms = rounds_started.elapsed().as_secs_f64() * 1e3;
     let stats = server.stats();
     for v in [
         stats.requests_assigned,
@@ -306,11 +290,7 @@ pub fn drive_instrumented(
             assignments: assigned,
             digest,
         },
-        DriveTiming {
-            total_ms: started.elapsed().as_secs_f64() * 1e3,
-            rounds_ms,
-            poll_ms: poll_wall.as_secs_f64() * 1e3,
-        },
+        poll_wall.as_secs_f64() * 1e3,
     )
 }
 

@@ -26,6 +26,7 @@ pub mod experiments;
 pub mod framework;
 pub mod parallel;
 pub mod perf;
+pub mod recover;
 pub mod report;
 pub mod runner;
 pub mod trace;

@@ -72,6 +72,10 @@ pub struct PerfReport {
     pub seed: u64,
     /// Whether this was a quick (CI smoke) run.
     pub quick: bool,
+    /// `available_parallelism` of the host that ran the cells — the
+    /// context every pipelined-vs-serial pair needs. `None` for baselines
+    /// written before the field existed.
+    pub cpus: Option<u64>,
     /// The timed cells, in a fixed order.
     pub cells: Vec<PerfCell>,
 }
@@ -298,26 +302,21 @@ fn ext_million_cells(seed: u64, quick: bool) -> Vec<PerfCell> {
 /// The two-phase poll pipeline cells (DESIGN.md §14): one poll-heavy
 /// million-device drive run twice on the identical workload — once with
 /// the serial legacy poll path pinned (`shard_workers = 1`) and once with
-/// the eight-worker pipeline.
+/// the pipeline at the pool's default worker count, which is what a
+/// deployment on this host gets ([`PerfReport::cpus`] says how many).
 ///
 /// `poll_phase_split_reference` / `poll_phase_split` time just the `poll`
-/// calls, which is the slice the pipeline restructures — the honest
-/// apples-to-apples pair for the worker sweep (EXPERIMENTS.md reports
-/// both on this host). `ext_million_parallel` records the pipelined
-/// drive's *steady-state* round loop (churn + polls + deliveries): the
-/// recurring work a long-lived control plane repeats, excluding the
-/// one-time million-device registration load that dominates
-/// `ext_million_sweep`'s total and is untouched by this PR. The two
-/// drives must produce byte-identical outcomes — asserted here, so every
-/// perf run re-proves the worker-count invariance at full scale.
+/// calls, which is the slice the pipeline restructures. The two drives
+/// must produce byte-identical outcomes — asserted here, so every perf
+/// run re-proves the worker-count invariance at full scale.
 fn poll_pipeline_cells(seed: u64, quick: bool) -> Vec<PerfCell> {
     use crate::experiments::ext_million;
     let devices = if quick { 20_000 } else { 1_000_000 };
     let tasks = if quick { 96 } else { 192 };
-    let (serial_outcome, serial_timing) =
+    let (serial_outcome, serial_poll_ms) =
         ext_million::drive_instrumented(devices, 8, ext_million::soa_index, seed, tasks, Some(1));
-    let (piped_outcome, piped_timing) =
-        ext_million::drive_instrumented(devices, 8, ext_million::soa_index, seed, tasks, Some(8));
+    let (piped_outcome, piped_poll_ms) =
+        ext_million::drive_instrumented(devices, 8, ext_million::soa_index, seed, tasks, None);
     assert_eq!(
         serial_outcome, piped_outcome,
         "poll worker count must never change the drive outcome"
@@ -330,21 +329,13 @@ fn poll_pipeline_cells(seed: u64, quick: bool) -> Vec<PerfCell> {
         peak_queue_depth: 0,
         rss_mb: None,
     };
-    // Registration + first observation are two events per device; the
-    // remainder of the outcome's event count happened inside the rounds.
-    let round_events = piped_outcome.events - 2 * devices as u64;
     vec![
         cell(
             "poll_phase_split_reference",
-            serial_timing.poll_ms,
+            serial_poll_ms,
             serial_outcome.assignments,
         ),
-        cell(
-            "poll_phase_split",
-            piped_timing.poll_ms,
-            piped_outcome.assignments,
-        ),
-        cell("ext_million_parallel", piped_timing.rounds_ms, round_events),
+        cell("poll_phase_split", piped_poll_ms, piped_outcome.assignments),
     ]
 }
 
@@ -437,168 +428,11 @@ fn durability_cells(seed: u64, quick: bool) -> Vec<PerfCell> {
     ]
 }
 
-/// Live-mode cells: an in-process `senseaid-serve` instance on an
-/// ephemeral loopback port, saturated by the closed-loop load generator.
-///
-/// - `live_rps` — wall-clock to complete a fixed request count over TCP
-///   (throughput inverted into the gate's wall-ms convention: halved
-///   rps doubles the wall and trips the 2× gate);
-/// - `live_p99` — the bout's p99 latency, in the `wall_ms` slot so the
-///   same gate bounds tail latency directly.
-fn live_cells(seed: u64, quick: bool) -> Vec<PerfCell> {
-    use senseaid_serve::{run_loadgen, serve, LoadgenOptions, ServeOptions};
-    // A single bout's p99 is one order statistic riding whatever the OS
-    // scheduler did that instant; take the best of three bouts so the
-    // tracked number reflects the server, not the neighbour's cron job.
-    let mut best: Option<senseaid_serve::LoadReport> = None;
-    for bout in 0..3u64 {
-        let handle = serve(ServeOptions {
-            addr: "127.0.0.1:0".to_owned(),
-            shards: 4,
-            workers: 2,
-            persist_dir: None,
-            duration: Some(std::time::Duration::from_secs(120)),
-            ..ServeOptions::default()
-        })
-        .expect("bind loopback perf server");
-        let report = run_loadgen(&LoadgenOptions {
-            addr: handle.addr().to_string(),
-            // The quick bout still needs enough requests that the p99
-            // rank clears the cold-start prefix (at 600 requests the
-            // 1% tail IS the warmup), or quick runs sit systematically
-            // above the full-bout baseline the CI gate compares against.
-            connections: if quick { 2 } else { 4 },
-            requests: if quick { 2_000 } else { 6_000 },
-            duration: Some(std::time::Duration::from_secs(60)),
-            seed: seed ^ bout,
-            submit_task: true,
-            stop_server: true,
-            drop_every: None,
-        })
-        .expect("loadgen reaches the in-process server");
-        let summary = handle.join();
-        assert!(
-            summary.requests > 0 && report.requests > 0,
-            "live perf bout completed no requests"
-        );
-        let better = match &best {
-            Some(b) => report.hist.quantile_ns(0.99) < b.hist.quantile_ns(0.99),
-            None => true,
-        };
-        if better {
-            best = Some(report);
-        }
-    }
-    let report = best.expect("three bouts ran");
-    vec![
-        PerfCell {
-            name: "live_rps".to_owned(),
-            wall_ms: report.elapsed.as_secs_f64() * 1e3,
-            events: report.requests,
-            events_per_sec: report.rps(),
-            peak_queue_depth: 0,
-            rss_mb: None,
-        },
-        PerfCell {
-            name: "live_p99".to_owned(),
-            wall_ms: report.hist.quantile_ms(0.99),
-            events: report.requests,
-            events_per_sec: report.rps(),
-            peak_queue_depth: 0,
-            rss_mb: None,
-        },
-    ]
-}
-
-/// Session-path cells (DESIGN.md §16).
-///
-/// - `live_reconnect_p99` — a loadgen bout that force-drops its socket
-///   every few requests, so the p99 honestly prices a redial + session
-///   resume, not just a warm round trip;
-/// - `session_ledger_overhead(_reference)` — the same tracked session
-///   workload driven through the engine twice per round, push retention
-///   off (fire-and-forget, the pre-ledger behaviour) vs on. The client
-///   acks promptly, so the pair prices exactly the ledger bookkeeping —
-///   sequence stamping, append, prune — and not retention depth, the
-///   same "armed but never accumulating" framing the telemetry budget
-///   uses. The paired median-of-ratios estimator matches the other
-///   few-percent budgets: slots alternate order within a round so drift
-///   cannot bias the ratio stream, and the median discards outliers.
-///
-/// Drives the recorded trace through the engine with every op inside a
-/// tracked session envelope, acking promptly, and returns the horizon
-/// digest. The `ledger` flag is the only difference between the two
-/// slots of the `session_ledger_overhead` pair.
-fn drive_tracked(trace: &senseaid_serve::EventTrace, ledger: bool) -> Vec<u8> {
-    use std::collections::HashMap;
-    use std::sync::Arc;
-
-    use senseaid_core::runtime::SimClock;
-    use senseaid_serve::trace::trace_server;
-    use senseaid_serve::wire::{decode_frame, WireFrame};
-    use senseaid_serve::{FrameAssembler, ServeEngine, WireRequest, WireResponse};
-
-    // Ops with a device identity ride that device's session; the
-    // driver-level ops (task submission, drains) go raw, exactly as a
-    // study console without a device session would send them.
-    fn identity(req: &WireRequest) -> Option<u64> {
-        match req {
-            WireRequest::Hello { imei }
-            | WireRequest::Register { imei, .. }
-            | WireRequest::Observe { imei, .. }
-            | WireRequest::StateUpdate { imei, .. }
-            | WireRequest::Comm { imei }
-            | WireRequest::SubmitBatch { imei, .. } => Some(*imei),
-            _ => None,
-        }
-    }
-
-    let clock = SimClock::new();
-    let mut engine = ServeEngine::new(trace_server(2), Arc::new(clock.clone()));
-    engine.set_session_ledger(ledger);
-    let mut sessions: HashMap<u64, (u64, u64)> = HashMap::new();
-    for event in &trace.events {
-        clock.advance_to(event.at);
-        let Some(id) = identity(&event.req) else {
-            std::hint::black_box(engine.handle(1, event.req.clone()));
-            continue;
-        };
-        if let std::collections::hash_map::Entry::Vacant(vacant) = sessions.entry(id) {
-            let output = engine.handle(1, WireRequest::Hello { imei: id });
-            let (_conn, frame) = &output.frames[0];
-            let mut assembler = FrameAssembler::new();
-            assembler.extend(frame);
-            let (kind, payload) = assembler
-                .next_frame()
-                .expect("hello response frames")
-                .expect("hello response is complete");
-            match decode_frame(kind, &payload).expect("hello response decodes") {
-                WireFrame::Response(WireResponse::SessionBound { token }) => {
-                    vacant.insert((token, 0));
-                }
-                other => panic!("hello answered {other:?}"),
-            }
-        }
-        let entry = sessions.get_mut(&id).expect("bound above");
-        entry.1 += 1;
-        let envelope = WireRequest::Tracked {
-            token: entry.0,
-            req_seq: entry.1,
-            // A prompt client: everything pushed so far is acked, so the
-            // armed ledger prunes to empty on every op and the pair
-            // prices bookkeeping, not retention depth.
-            push_ack: u64::MAX,
-            inner: Box::new(event.req.clone()),
-        };
-        std::hint::black_box(engine.handle(1, envelope));
-    }
-    clock.advance_to(trace.horizon);
-    std::hint::black_box(engine.advance_to(trace.horizon));
-    engine.server().durable_digest(trace.horizon)
-}
-
-fn session_cells(seed: u64, quick: bool) -> Vec<PerfCell> {
-    use senseaid_serve::trace::record_sample_trace;
+/// The session-path cell (DESIGN.md §16): `live_reconnect_p99` — a
+/// loadgen bout that force-drops its socket every few requests, so the
+/// p99 honestly prices a redial + session resume, not just a warm round
+/// trip.
+fn reconnect_cell(seed: u64, quick: bool) -> PerfCell {
     use senseaid_serve::{run_loadgen, serve, LoadgenOptions, ServeOptions};
 
     // A p99 over one small bout is a single order statistic riding OS
@@ -619,8 +453,8 @@ fn session_cells(seed: u64, quick: bool) -> Vec<PerfCell> {
         .expect("bind loopback reconnect server");
         let report = run_loadgen(&LoadgenOptions {
             addr: handle.addr().to_string(),
-            // Like live_p99's quick bout: keep the p99 rank clear of
-            // the cold-start prefix.
+            // Enough requests that the p99 rank clears the cold-start
+            // prefix (at a few hundred the 1% tail IS the warmup).
             connections: 2,
             requests: if quick { 600 } else { 1_000 },
             duration: Some(std::time::Duration::from_secs(60)),
@@ -641,64 +475,14 @@ fn session_cells(seed: u64, quick: bool) -> Vec<PerfCell> {
             rps = report.rps();
         }
     }
-    let reconnect_cell = PerfCell {
+    PerfCell {
         name: "live_reconnect_p99".to_owned(),
         wall_ms: best_p99,
         events: requests,
         events_per_sec: rps,
         peak_queue_depth: 0,
         rss_mb: None,
-    };
-
-    // Slots must be milliseconds, not microseconds, or the per-round
-    // ratio is mostly timer/scheduler noise and the median can wander
-    // past the budget on a loaded machine.
-    let trace = record_sample_trace(seed, 40, if quick { 40 } else { 80 });
-    let rounds = 45;
-    let batch = if quick { 2 } else { 3 };
-    let mut reference_wall = f64::INFINITY;
-    let mut estimates: Vec<f64> = Vec::new();
-    for _pass in 0..3 {
-        // Index 0: ledger retention off. Index 1: retention on.
-        let mut samples = [const { Vec::new() }; 2];
-        for round in 0..rounds {
-            let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
-            for slot in order {
-                let start = Instant::now();
-                for _ in 0..batch {
-                    std::hint::black_box(drive_tracked(&trace, slot == 1));
-                }
-                samples[slot].push(start.elapsed().as_secs_f64() * 1e3 / batch as f64);
-            }
-        }
-        reference_wall = samples[0].iter().copied().fold(reference_wall, f64::min);
-        let mut ratios: Vec<f64> = samples[0]
-            .iter()
-            .zip(&samples[1])
-            .map(|(r, a)| a / r.max(1e-9))
-            .collect();
-        ratios.sort_unstable_by(|a, b| a.total_cmp(b));
-        estimates.push(ratios[ratios.len() / 2]);
-        if *estimates.last().expect("just pushed") < 1.015 {
-            break;
-        }
     }
-    estimates.sort_unstable_by(|a, b| a.total_cmp(b));
-    let ledger_wall = reference_wall * estimates[estimates.len() / 2];
-    let events = trace.events.len() as u64;
-    let ledger_cell = |name: &str, wall_ms: f64| PerfCell {
-        name: name.to_owned(),
-        wall_ms,
-        events,
-        events_per_sec: events as f64 / (wall_ms / 1e3).max(1e-9),
-        peak_queue_depth: 0,
-        rss_mb: None,
-    };
-    vec![
-        reconnect_cell,
-        ledger_cell("session_ledger_overhead_reference", reference_wall),
-        ledger_cell("session_ledger_overhead", ledger_wall),
-    ]
 }
 
 /// Every cell name a run can emit, in emission order. This is the
@@ -718,21 +502,12 @@ const CELL_GROUPS: &[&[&str]] = &[
     &["ext_scalability_sweep"],
     &["ext_scalability_sweep_reference"],
     &["ext_million_sweep", "ext_million_resident"],
-    &[
-        "poll_phase_split_reference",
-        "poll_phase_split",
-        "ext_million_parallel",
-    ],
+    &["poll_phase_split_reference", "poll_phase_split"],
     &["fanout_qualified_count"],
     &["telemetry_overhead_reference", "telemetry_overhead"],
     &["lease_sweep_overhead_reference", "lease_sweep_overhead"],
     &["snapshot_persist", "recovery_time"],
-    &["live_rps", "live_p99"],
-    &[
-        "live_reconnect_p99",
-        "session_ledger_overhead_reference",
-        "session_ledger_overhead",
-    ],
+    &["live_reconnect_p99"],
 ];
 
 /// Levenshtein distance, for typo suggestions in the `--filter` error.
@@ -864,14 +639,14 @@ pub fn run_perf_filtered(
         cells.extend(durability_cells(seed, q));
     }
     if selected(CELL_GROUPS[12]) {
-        cells.extend(live_cells(seed, q));
-    }
-    if selected(CELL_GROUPS[13]) {
-        cells.extend(session_cells(seed, q));
+        cells.push(reconnect_cell(seed, q));
     }
     Ok(PerfReport {
         seed,
         quick: q,
+        cpus: std::thread::available_parallelism()
+            .ok()
+            .map(|n| n.get() as u64),
         cells,
     })
 }
@@ -883,6 +658,9 @@ impl PerfReport {
         out.push_str("  \"schema\": \"senseaid-perf-v1\",\n");
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"quick\": {},\n", self.quick));
+        if let Some(cpus) = self.cpus {
+            out.push_str(&format!("  \"cpus\": {cpus},\n"));
+        }
         out.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             let rss = c
@@ -929,7 +707,12 @@ impl PerfReport {
         if cells.is_empty() {
             return None;
         }
-        Some(PerfReport { seed, quick, cells })
+        Some(PerfReport {
+            seed,
+            quick,
+            cpus: field_u64(text, "cpus"),
+            cells,
+        })
     }
 
     /// The named cell, if present.
@@ -955,17 +738,6 @@ impl PerfReport {
         let with_lease = self.cell("lease_sweep_overhead")?;
         let without = self.cell("lease_sweep_overhead_reference")?;
         Some((with_lease.wall_ms - without.wall_ms) / without.wall_ms.max(1e-9) * 100.0)
-    }
-
-    /// The wall-clock cost of the session layer — tracked envelopes, the
-    /// dedup cache, and the push ledger — as a percentage over the raw
-    /// live path replaying the same trace to the same digest. Negative
-    /// values mean the difference vanished into measurement noise.
-    /// `None` when either cell is missing (e.g. an old baseline file).
-    pub fn session_ledger_overhead_pct(&self) -> Option<f64> {
-        let with_ledger = self.cell("session_ledger_overhead")?;
-        let without = self.cell("session_ledger_overhead_reference")?;
-        Some((with_ledger.wall_ms - without.wall_ms) / without.wall_ms.max(1e-9) * 100.0)
     }
 
     /// Checks this run against a baseline: every cell present in both
@@ -1028,8 +800,9 @@ impl PerfReport {
             self.cell("poll_phase_split_reference"),
             self.cell("poll_phase_split"),
         ) {
+            let cpus = self.cpus.map_or("?".to_owned(), |n| n.to_string());
             out.push_str(&format!(
-                "poll pipeline speedup (serial poll path / 8-worker pipeline): {:.2}x\n",
+                "poll pipeline speedup (serial poll path / pipeline at the pool default, {cpus} cpus): {:.2}x\n",
                 serial.wall_ms / piped.wall_ms.max(1e-9)
             ));
         }
@@ -1080,6 +853,7 @@ mod tests {
         PerfReport {
             seed: 7,
             quick: true,
+            cpus: Some(2),
             cells: vec![
                 PerfCell {
                     name: "a".to_owned(),
@@ -1103,7 +877,11 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let report = sample_report();
+        let mut report = sample_report();
+        let parsed = PerfReport::parse_json(&report.to_json()).expect("parses");
+        assert_eq!(parsed, report);
+        // A baseline written before `cpus` existed still parses.
+        report.cpus = None;
         let parsed = PerfReport::parse_json(&report.to_json()).expect("parses");
         assert_eq!(parsed, report);
     }
@@ -1162,8 +940,8 @@ mod tests {
             seed: 11,
             quick: true,
         };
-        let err = run_perf_filtered(&options, Some("live_rsp")).unwrap_err();
-        assert!(err.contains("did you mean 'live_rps'?"), "{err}");
+        let err = run_perf_filtered(&options, Some("pcs_100dve")).unwrap_err();
+        assert!(err.contains("did you mean 'pcs_100dev'?"), "{err}");
         let err = run_perf_filtered(&options, Some("recovery_tim")).unwrap_err();
         assert!(err.contains("did you mean 'recovery_time'?"), "{err}");
         // An unrelated word gets the vocabulary but no bogus suggestion.
@@ -1174,8 +952,8 @@ mod tests {
     #[test]
     fn edit_distance_is_a_metric_on_examples() {
         assert_eq!(edit_distance("", ""), 0);
-        assert_eq!(edit_distance("live_rps", "live_rps"), 0);
-        assert_eq!(edit_distance("live_rsp", "live_rps"), 2); // transposition = 2 edits
+        assert_eq!(edit_distance("pcs_100dev", "pcs_100dev"), 0);
+        assert_eq!(edit_distance("pcs_100dve", "pcs_100dev"), 2); // transposition = 2 edits
         assert_eq!(edit_distance("abc", ""), 3);
         assert_eq!(edit_distance("kitten", "sitting"), 3);
     }
@@ -1205,7 +983,7 @@ mod tests {
         assert_eq!(device_ticks(&s), (20 * 60 + 5 * 60 + 2 + 1) * 10);
     }
 
-    /// The full harness on a tiny quick run: all eighteen cells present,
+    /// The full harness on a tiny quick run: every declared cell present,
     /// in the declared vocabulary order, with sane numbers, and the JSON
     /// survives a round trip — including the optional memory sample.
     #[test]
@@ -1214,7 +992,7 @@ mod tests {
             seed: 11,
             quick: true,
         });
-        assert_eq!(report.cells.len(), 23);
+        assert_eq!(report.cells.len(), cell_names().len());
         let names: Vec<&str> = report.cells.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, cell_names());
         for c in &report.cells {
@@ -1229,10 +1007,7 @@ mod tests {
             report.lease_sweep_overhead_pct().is_some(),
             "lease overhead cells must both be present"
         );
-        assert!(
-            report.session_ledger_overhead_pct().is_some(),
-            "session ledger overhead cells must both be present"
-        );
+        assert!(report.cpus.is_some(), "a run records its host's cpus");
         assert!(
             report
                 .cell("ext_million_resident")
@@ -1242,7 +1017,8 @@ mod tests {
             "the resident cell must carry a memory sample"
         );
         let parsed = PerfReport::parse_json(&report.to_json()).expect("round trip");
-        assert_eq!(parsed.cells.len(), 20);
+        assert_eq!(parsed.cells.len(), cell_names().len());
+        assert_eq!(parsed.cpus, report.cpus);
         assert!(parsed.telemetry_overhead_pct().is_some());
         assert!(parsed.lease_sweep_overhead_pct().is_some());
         assert_eq!(

@@ -63,7 +63,6 @@ pub mod runtime;
 pub mod scheduler;
 pub mod selector;
 pub mod server;
-pub mod service;
 mod shard;
 pub mod store;
 pub mod task;
@@ -98,7 +97,6 @@ pub use server::{
     Assignment, BatchReceipt, ControlSnapshot, DeliveryOutcome, SelectionEvent, SenseAidServer,
     ServerStats,
 };
-pub use service::SharedServer;
 pub use store::device_store::{DeviceRecord, DeviceStore};
 pub use store::soa_store::{DeviceSlot, SoaDeviceStore};
 pub use store::task_store::{RequestArena, TaskState, TaskStatus, TaskStore};

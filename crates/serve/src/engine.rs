@@ -58,7 +58,7 @@ use crate::wire::{
 /// A connection identity, assigned by the transport layer.
 pub type ConnId = u64;
 
-/// Default bound on a session's unacked push ledger; past it the session
+/// Bound on a session's unacked push ledger; past it the session
 /// is revoked (the client has plainly stopped acking).
 pub const DEFAULT_LEDGER_CAP: usize = 256;
 
@@ -172,11 +172,6 @@ pub struct ServeEngine {
     tokens: HashMap<u64, u64>,
     /// Deterministic token mint counter.
     next_token: u64,
-    /// Bound on each session's unacked push ledger.
-    ledger_cap: usize,
-    /// When false, pushes are fire-and-forget exactly as before PR 10
-    /// (the perf pair prices the ledger against this).
-    ledger_enabled: bool,
     /// `ServerStats::leases_expired` last time the lease sweep ran.
     leases_expired_seen: u64,
     /// `session.*` / `conn.*` instants; off by default.
@@ -195,8 +190,6 @@ impl ServeEngine {
             sessions: HashMap::new(),
             tokens: HashMap::new(),
             next_token: 0,
-            ledger_cap: DEFAULT_LEDGER_CAP,
-            ledger_enabled: true,
             leases_expired_seen: 0,
             tel: Telemetry::off(),
             cursor: SimTime::ZERO,
@@ -236,19 +229,6 @@ impl ServeEngine {
     /// Arms `session.*`/`conn.*` instants on `tel` (off by default).
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         self.tel = tel;
-    }
-
-    /// Overrides the per-session unacked-push ledger bound.
-    pub fn set_ledger_cap(&mut self, cap: usize) {
-        self.ledger_cap = cap.max(1);
-    }
-
-    /// Disables (or re-enables) push retention. With the ledger off,
-    /// pushes are fire-and-forget and resume replays nothing — the
-    /// pre-PR 10 behaviour the `session_ledger_overhead` perf pair
-    /// measures against.
-    pub fn set_session_ledger(&mut self, enabled: bool) {
-        self.ledger_enabled = enabled;
     }
 
     /// Live sessions (bound or awaiting resume).
@@ -347,41 +327,37 @@ impl ServeEngine {
                 devices: devices.clone(),
             };
             let frame = encode_push(&push);
-            if self.ledger_enabled {
-                session.ledger.push_back((seq, frame.clone()));
-                if session.ledger.len() > self.ledger_cap {
-                    // The client stopped acking; holding unbounded frames
-                    // for it would let one dead peer eat the server.
-                    let session = self.sessions.remove(device).expect("present above");
-                    self.tokens.remove(&session.token);
-                    self.stats.ledger_overflows += 1;
-                    self.tel.instant(
-                        "session.ledger_overflow",
-                        self.cursor,
-                        Lane::control(0),
-                        SpanId::NONE,
-                        vec![Attr::u64("imei", *device)],
-                    );
-                    if let Some(conn) = session.conn {
-                        let notice = WirePush::Disconnect {
-                            code: DISCONNECT_LEDGER_OVERFLOW,
-                            detail: format!(
-                                "session push ledger exceeded {} unacked pushes",
-                                self.ledger_cap
-                            ),
-                        };
-                        frames.push((conn, encode_push(&notice)));
-                    }
-                    continue;
+            session.ledger.push_back((seq, frame.clone()));
+            if session.ledger.len() > DEFAULT_LEDGER_CAP {
+                // The client stopped acking; holding unbounded frames
+                // for it would let one dead peer eat the server.
+                let session = self.sessions.remove(device).expect("present above");
+                self.tokens.remove(&session.token);
+                self.stats.ledger_overflows += 1;
+                self.tel.instant(
+                    "session.ledger_overflow",
+                    self.cursor,
+                    Lane::control(0),
+                    SpanId::NONE,
+                    vec![Attr::u64("imei", *device)],
+                );
+                if let Some(conn) = session.conn {
+                    let notice = WirePush::Disconnect {
+                        code: DISCONNECT_LEDGER_OVERFLOW,
+                        detail: format!(
+                            "session push ledger exceeded {DEFAULT_LEDGER_CAP} unacked pushes"
+                        ),
+                    };
+                    frames.push((conn, encode_push(&notice)));
                 }
+                continue;
             }
             match session.conn {
                 Some(conn) => {
                     frames.push((conn, frame));
                     self.stats.assignments_pushed += 1;
                 }
-                None if self.ledger_enabled => self.stats.assignments_queued += 1,
-                None => self.stats.assignments_unrouted += 1,
+                None => self.stats.assignments_queued += 1,
             }
         }
     }
@@ -843,28 +819,42 @@ mod tests {
     use crate::trace::trace_server;
     use crate::wire::{decode_frame, WireFrame};
 
-    fn response_of(output: &EngineOutput) -> WireResponse {
-        let (_conn, frame) = output.frames.first().expect("a response frame");
+    fn decode(frame: &[u8]) -> WireFrame {
         let mut assembler = FrameAssembler::new();
         assembler.extend(frame);
         let (kind, payload) = assembler
             .next_frame()
-            .expect("response reassembles")
-            .expect("response is complete");
-        match decode_frame(kind, &payload).expect("response decodes") {
+            .expect("frame reassembles")
+            .expect("frame is complete");
+        decode_frame(kind, &payload).expect("frame decodes")
+    }
+
+    fn response_of(output: &EngineOutput) -> WireResponse {
+        let (_conn, frame) = output.frames.first().expect("a response frame");
+        match decode(frame) {
             WireFrame::Response(resp) => resp,
             other => panic!("expected a response, got {other:?}"),
         }
     }
 
-    #[test]
-    fn shutdown_flush_reports_pushes_still_unacked_in_ledgers() {
-        let clock = SimClock::new();
-        let mut engine = ServeEngine::new(trace_server(1), Arc::new(clock.clone()));
+    fn barometer_task(one_shot: bool) -> WireTaskSpec {
+        WireTaskSpec {
+            sensor: Sensor::Barometer,
+            centre_lat: 40.4284,
+            centre_lon: -86.9138,
+            radius_m: 2_000.0,
+            spatial_density: 1,
+            one_shot,
+            period_us: 120_000_000,
+            duration_us: 1_200_000_000,
+        }
+    }
 
-        // Bind a session and enrol its device inside the task region.
+    /// Binds a session for device 7 on connection 1 and enrols the device
+    /// inside the task region; returns the session token at t = 2 s.
+    fn bind_device_in_region(engine: &mut ServeEngine, clock: &SimClock) -> u64 {
         let output = engine.handle(1, WireRequest::Hello { imei: 7 });
-        let WireResponse::SessionBound { .. } = response_of(&output) else {
+        let WireResponse::SessionBound { token, .. } = response_of(&output) else {
             panic!("hello must bind a session");
         };
         clock.advance_to(SimTime::from_secs(1));
@@ -889,17 +879,16 @@ mod tests {
                 cell: None,
             },
         );
+        token
+    }
+
+    #[test]
+    fn shutdown_flush_reports_pushes_still_unacked_in_ledgers() {
+        let clock = SimClock::new();
+        let mut engine = ServeEngine::new(trace_server(1), Arc::new(clock.clone()));
+        bind_device_in_region(&mut engine, &clock);
         clock.advance_to(SimTime::from_secs(3));
-        let spec = WireTaskSpec {
-            sensor: Sensor::Barometer,
-            centre_lat: 40.4284,
-            centre_lon: -86.9138,
-            radius_m: 2_000.0,
-            spatial_density: 1,
-            one_shot: false,
-            period_us: 120_000_000,
-            duration_us: 1_200_000_000,
-        };
+        let spec = barometer_task(false);
         engine.handle(1, WireRequest::SubmitTask { cas: 1, spec });
 
         // Let the scheduler poll: the selected device's session receives
@@ -923,5 +912,59 @@ mod tests {
         // unacked pushes are reported rather than persisted.
         assert!(!flush.persistence_armed);
         assert_eq!(flush.generation, None);
+    }
+
+    #[test]
+    fn a_session_that_never_acks_is_revoked_at_the_ledger_cap() {
+        let clock = SimClock::new();
+        let mut engine = ServeEngine::new(trace_server(1), Arc::new(clock.clone()));
+        let token = bind_device_in_region(&mut engine, &clock);
+
+        // One-shot density-1 tasks, one per second, each selecting the only
+        // device in the region; the CAS drives them on its own connection.
+        let mut pushes = Vec::new();
+        for i in 0..=DEFAULT_LEDGER_CAP as u64 {
+            clock.advance_to(SimTime::from_secs(3 + i));
+            let spec = barometer_task(true);
+            let output = engine.handle(2, WireRequest::SubmitTask { cas: 1, spec });
+            pushes.extend(output.frames.into_iter().filter(|(conn, _)| *conn == 1));
+            assert_eq!(
+                engine.stats().ledger_overflows,
+                0,
+                "push {i} overflowed early"
+            );
+            clock.advance_to(SimTime::from_secs(3 + i) + SimDuration::from_millis(500));
+            pushes.extend(engine.advance_to(clock.now()));
+        }
+        let notices: Vec<u8> = pushes
+            .iter()
+            .filter_map(|(_, frame)| match decode(frame) {
+                WireFrame::Push(WirePush::Disconnect { code, .. }) => Some(code),
+                WireFrame::Push(WirePush::Assignment { .. }) => None,
+                other => panic!("expected a push, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(notices, [DISCONNECT_LEDGER_OVERFLOW]);
+        // The push that overflowed is dropped with the session, not sent.
+        assert_eq!(pushes.len(), DEFAULT_LEDGER_CAP + 1);
+        assert_eq!(engine.stats().assignments_pushed, DEFAULT_LEDGER_CAP as u64);
+        assert_eq!(engine.stats().ledger_overflows, 1);
+        assert_eq!(engine.session_count(), 0);
+        assert_eq!(engine.unacked_pushes(), 0);
+
+        // The token died with the session: a tracked frame must re-Hello.
+        let output = engine.handle(
+            1,
+            WireRequest::Tracked {
+                token,
+                req_seq: 1,
+                push_ack: 0,
+                inner: Box::new(WireRequest::Stats),
+            },
+        );
+        let WireResponse::Error { code, .. } = response_of(&output) else {
+            panic!("a revoked token must be refused");
+        };
+        assert_eq!(code, ERR_UNKNOWN_SESSION);
     }
 }

@@ -11,8 +11,9 @@
 //! * [`SimRng`] — a seedable random source with labelled stream derivation,
 //!   so independent model components draw from independent streams and
 //!   adding a draw in one component never perturbs another;
-//! * [`metrics`] and [`trace`] — lightweight counters/histograms and a
-//!   timestamped trace log used to regenerate the paper's figures.
+//! * [`trace`] — a timestamped trace log used to regenerate the paper's
+//!   figures (plus [`SharedCounter`], the one cross-thread tally the
+//!   harness keeps).
 //!
 //! # Example
 //!
@@ -51,7 +52,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{run, run_until, EventQueue, ScheduledEvent, World};
-pub use metrics::{Counter, Histogram, MetricsRegistry, SharedCounter};
+pub use metrics::SharedCounter;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceEntry, TraceLog};

@@ -1,154 +1,15 @@
-//! Lightweight metrics used by the experiment harness.
+//! The one metric the harness shares across threads: [`SharedCounter`].
 //!
-//! [`Counter`] counts occurrences, [`Histogram`] records value
-//! distributions, and [`MetricsRegistry`] is a string-keyed bag of both so
-//! that deeply nested simulation components can record without threading
-//! individual metric handles everywhere.
+//! Counters and distributions that are *reported* live in
+//! `senseaid-telemetry`'s `RegistrySnapshot`.
 
-use std::collections::BTreeMap;
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// The current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.value)
-    }
-}
-
-/// A streaming distribution summary: count, sum, min, max, mean, variance
-/// (Welford), plus all recorded samples for exact percentiles.
-///
-/// The harness records at most a few hundred thousand samples per run, so
-/// keeping the raw samples is cheap and makes percentiles exact.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    mean: f64,
-    m2: f64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample. Non-finite samples are ignored.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.samples.push(x);
-        let n = self.samples.len() as f64;
-        let delta = x - self.mean;
-        self.mean += delta / n;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Sum of all samples (0 when empty).
-    pub fn sum(&self) -> f64 {
-        self.samples.iter().sum()
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (!self.samples.is_empty()).then_some(self.mean)
-    }
-
-    /// Population standard deviation, or `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        let n = self.samples.len();
-        (n > 0).then(|| (self.m2 / n as f64).sqrt())
-    }
-
-    /// Minimum sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::min)
-    }
-
-    /// Maximum sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::max)
-    }
-
-    /// Exact percentile by nearest-rank, `q` in `[0, 1]`; `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]` or NaN.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "percentile {q} outside [0, 1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples recorded"));
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        Some(sorted[rank - 1])
-    }
-
-    /// Iterates over the raw samples in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.samples.iter().copied()
-    }
-}
-
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.mean() {
-            None => write!(f, "empty"),
-            Some(m) => write!(
-                f,
-                "n={} mean={:.3} min={:.3} max={:.3}",
-                self.count(),
-                m,
-                self.min().unwrap_or(f64::NAN),
-                self.max().unwrap_or(f64::NAN),
-            ),
-        }
-    }
-}
 
 /// A thread-safe monotonically increasing counter.
 ///
-/// [`Counter`] needs `&mut` and so cannot be shared across the parallel
-/// experiment harness's workers; this one can. Reads use a relaxed load:
-/// the harness only ever totals it after the worker scope has joined, at
-/// which point every increment is visible.
+/// Shared by reference across the parallel experiment harness's workers.
+/// Reads use a relaxed load: the harness only ever totals it after the
+/// worker scope has joined, at which point every increment is visible.
 #[derive(Debug, Default)]
 pub struct SharedCounter {
     value: std::sync::atomic::AtomicU64,
@@ -178,144 +39,9 @@ impl fmt::Display for SharedCounter {
     }
 }
 
-/// A string-keyed collection of counters and histograms.
-///
-/// # Example
-///
-/// ```
-/// use senseaid_sim::MetricsRegistry;
-///
-/// let mut m = MetricsRegistry::new();
-/// m.counter("uploads").incr();
-/// m.counter("uploads").incr();
-/// m.histogram("energy_j").record(1.5);
-/// assert_eq!(m.counter("uploads").value(), 2);
-/// assert_eq!(m.histogram("energy_j").count(), 1);
-/// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_owned()).or_default()
-    }
-
-    /// The histogram named `name`, created on first use.
-    pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_owned()).or_default()
-    }
-
-    /// Reads a counter without creating it.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).map(Counter::value)
-    }
-
-    /// Reads a histogram without creating it.
-    pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates over `(name, counter)` pairs in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, &Counter)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates over `(name, histogram)` pairs in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Merges another registry into this one (counters add, histograms
-    /// concatenate).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, c) in &other.counters {
-            self.counter(k).add(c.value());
-        }
-        for (k, h) in &other.histograms {
-            let dst = self.histogram(k);
-            for s in h.iter() {
-                dst.record(s);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
-
-    #[test]
-    fn histogram_empty_behaviour() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.std_dev(), None);
-        assert_eq!(h.percentile(0.5), None);
-        assert_eq!(h.to_string(), "empty");
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 8);
-        assert!((h.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((h.std_dev().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(h.min(), Some(2.0));
-        assert_eq!(h.max(), Some(9.0));
-        assert_eq!(h.sum(), 40.0);
-    }
-
-    #[test]
-    fn histogram_percentiles_nearest_rank() {
-        let mut h = Histogram::new();
-        for x in 1..=100 {
-            h.record(f64::from(x));
-        }
-        assert_eq!(h.percentile(0.0), Some(1.0));
-        assert_eq!(h.percentile(0.5), Some(50.0));
-        assert_eq!(h.percentile(0.95), Some(95.0));
-        assert_eq!(h.percentile(1.0), Some(100.0));
-    }
-
-    #[test]
-    fn histogram_ignores_non_finite() {
-        let mut h = Histogram::new();
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        h.record(3.0);
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn percentile_rejects_bad_q() {
-        let mut h = Histogram::new();
-        h.record(1.0);
-        let _ = h.percentile(1.5);
-    }
 
     #[test]
     fn shared_counter_accumulates_across_threads() {
@@ -327,40 +53,5 @@ mod tests {
         });
         assert_eq!(c.value(), 100);
         assert_eq!(c.to_string(), "100");
-    }
-
-    #[test]
-    fn registry_create_on_first_use() {
-        let mut m = MetricsRegistry::new();
-        assert_eq!(m.counter_value("x"), None);
-        m.counter("x").incr();
-        assert_eq!(m.counter_value("x"), Some(1));
-        assert!(m.histogram_ref("h").is_none());
-        m.histogram("h").record(1.0);
-        assert_eq!(m.histogram_ref("h").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn registry_merge() {
-        let mut a = MetricsRegistry::new();
-        a.counter("c").add(2);
-        a.histogram("h").record(1.0);
-        let mut b = MetricsRegistry::new();
-        b.counter("c").add(3);
-        b.counter("only_b").incr();
-        b.histogram("h").record(2.0);
-        a.merge(&b);
-        assert_eq!(a.counter_value("c"), Some(5));
-        assert_eq!(a.counter_value("only_b"), Some(1));
-        assert_eq!(a.histogram_ref("h").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn registry_iteration_is_name_ordered() {
-        let mut m = MetricsRegistry::new();
-        m.counter("zeta").incr();
-        m.counter("alpha").incr();
-        let names: Vec<&str> = m.counters().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
     }
 }

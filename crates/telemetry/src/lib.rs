@@ -13,8 +13,8 @@
 //!   clonable [`Telemetry`] handle; the default handle is off and costs an
 //!   `Option` check per site.
 //! * **A unified registry** ([`registry`]): [`RegistrySnapshot`] absorbs
-//!   `simcore`'s `MetricsRegistry`, `ServerStats`, and per-client drop
-//!   stats behind one serializable view.
+//!   `ServerStats`, per-client drop stats and raw sample sets behind one
+//!   serializable view.
 //! * **Exporters** ([`export`]): deterministic JSONL and Chrome Trace
 //!   Event format — `senseaid trace fig06 --out trace.json` loads directly
 //!   in Perfetto, with shards as process lanes and devices as threads.

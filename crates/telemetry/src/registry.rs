@@ -1,15 +1,13 @@
 //! The unified metrics registry: one snapshotable, serializable view over
 //! the counters and histograms scattered across the stack.
 //!
-//! [`RegistrySnapshot`] absorbs `simcore`'s [`MetricsRegistry`] wholesale,
-//! plus any `(name, value)` counter source (`ServerStats`, per-client drop
-//! stats) and raw sample sets. Keys are namespaced by the caller
+//! [`RegistrySnapshot`] absorbs any `(name, value)` counter source
+//! (`ServerStats`, per-client drop stats) and raw sample sets
+//! ([`HistogramSummary::from_samples`]). Keys are namespaced by the caller
 //! (`server.`, `client.`, `harness.`); iteration order is the `BTreeMap`
 //! order, so [`RegistrySnapshot::to_json`] is deterministic.
 
 use std::collections::BTreeMap;
-
-use senseaid_sim::{Histogram, MetricsRegistry};
 
 use crate::export::{esc, fmt_f64};
 
@@ -33,27 +31,31 @@ pub struct HistogramSummary {
 }
 
 impl HistogramSummary {
-    /// Summarizes a `simcore` histogram.
-    pub fn from_histogram(h: &Histogram) -> HistogramSummary {
-        HistogramSummary {
-            count: h.count() as u64,
-            sum: h.sum(),
-            mean: h.mean().unwrap_or(0.0),
-            min: h.min().unwrap_or(0.0),
-            max: h.max().unwrap_or(0.0),
-            p50: h.percentile(0.5).unwrap_or(0.0),
-            p95: h.percentile(0.95).unwrap_or(0.0),
-        }
-    }
-
-    /// Summarizes a raw sample set (non-finite samples ignored, matching
-    /// [`Histogram::record`]).
+    /// Summarizes a raw sample set. Non-finite samples are ignored; the
+    /// mean is Welford's running mean, the sum adds in insertion order and
+    /// the percentiles are exact nearest-rank.
     pub fn from_samples(samples: &[f64]) -> HistogramSummary {
-        let mut h = Histogram::new();
-        for &s in samples {
-            h.record(s);
+        let mut sorted: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
+        let sum = sorted.iter().sum();
+        let mut mean = 0.0;
+        for (i, &x) in sorted.iter().enumerate() {
+            mean += (x - mean) / (i + 1) as f64;
         }
-        HistogramSummary::from_histogram(&h)
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-finite samples filtered"));
+        let n = sorted.len();
+        let rank = |q: f64| match n {
+            0 => 0.0,
+            _ => sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+        };
+        HistogramSummary {
+            count: n as u64,
+            sum,
+            mean,
+            min: sorted.first().copied().unwrap_or(0.0),
+            max: sorted.last().copied().unwrap_or(0.0),
+            p50: rank(0.5),
+            p95: rank(0.95),
+        }
     }
 }
 
@@ -62,15 +64,11 @@ impl HistogramSummary {
 /// # Example
 ///
 /// ```
-/// use senseaid_sim::MetricsRegistry;
-/// use senseaid_telemetry::RegistrySnapshot;
-///
-/// let mut m = MetricsRegistry::new();
-/// m.counter("uploads").add(3);
-/// m.histogram("delay_s").record(1.5);
+/// use senseaid_telemetry::{HistogramSummary, RegistrySnapshot};
 ///
 /// let mut snap = RegistrySnapshot::new();
-/// snap.absorb_metrics("harness.", &m);
+/// snap.set_counter("harness.uploads", 3);
+/// snap.set_histogram("harness.delay_s", HistogramSummary::from_samples(&[1.5]));
 /// snap.absorb_counters("server.", [("requests_assigned", 7u64)]);
 /// assert_eq!(snap.counter("harness.uploads"), Some(3));
 /// assert_eq!(snap.counter("server.requests_assigned"), Some(7));
@@ -101,19 +99,6 @@ impl RegistrySnapshot {
     /// Sets (or overwrites) one histogram summary.
     pub fn set_histogram(&mut self, name: impl Into<String>, summary: HistogramSummary) {
         self.histograms.insert(name.into(), summary);
-    }
-
-    /// Absorbs a whole `simcore` registry under `prefix`.
-    pub fn absorb_metrics(&mut self, prefix: &str, registry: &MetricsRegistry) {
-        for (name, c) in registry.counters() {
-            self.set_counter(format!("{prefix}{name}"), c.value());
-        }
-        for (name, h) in registry.histograms() {
-            self.set_histogram(
-                format!("{prefix}{name}"),
-                HistogramSummary::from_histogram(h),
-            );
-        }
     }
 
     /// Absorbs `(name, value)` counter pairs under `prefix`; repeated names
@@ -189,21 +174,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn absorbs_metrics_registry_under_prefix() {
-        let mut m = MetricsRegistry::new();
-        m.counter("uploads").add(2);
-        m.histogram("delay").record(1.0);
-        m.histogram("delay").record(3.0);
-        let mut snap = RegistrySnapshot::new();
-        snap.absorb_metrics("h.", &m);
-        assert_eq!(snap.counter("h.uploads"), Some(2));
-        let d = snap.histogram("h.delay").unwrap();
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 4.0);
-        assert_eq!(d.p95, 3.0);
-    }
-
-    #[test]
     fn repeated_counter_names_accumulate() {
         let mut snap = RegistrySnapshot::new();
         snap.absorb_counters("client.", [("dropped", 2u64)]);
@@ -221,6 +191,50 @@ mod tests {
         assert!(json.find("\"a\":2").unwrap() < json.find("\"z\":1").unwrap());
         assert_eq!(json, snap.clone().to_json());
         assert!(json.contains("\"count\":1"));
+    }
+
+    /// Golden bits captured from the `simcore::Histogram`-backed
+    /// implementation this replaced: registry JSON must not move.
+    #[test]
+    fn from_samples_matches_the_golden_bits() {
+        let mut rng = senseaid_sim::SimRng::from_seed(0x05EE_DA1D);
+        let seeded: Vec<f64> = (0..1000).map(|_| rng.normal(40.0, 250.0)).collect();
+        // (samples, count, [sum, mean, min, max, p50, p95])
+        let cases: [(&[f64], u64, [u64; 6]); 4] = [
+            // An empty `f64` sum is -0.0.
+            (&[], 0, [0x8000000000000000, 0, 0, 0, 0, 0]),
+            (&[2.5], 1, [0x4004000000000000; 6]),
+            (
+                &[f64::NAN, 3.0, f64::INFINITY, -1.25, f64::NEG_INFINITY, 0.1],
+                3,
+                [
+                    0x3ffd99999999999a,
+                    0x3fe3bbbbbbbbbbbc,
+                    0xbff4000000000000,
+                    0x4008000000000000,
+                    0x3fb999999999999a,
+                    0x4008000000000000,
+                ],
+            ),
+            (
+                &seeded,
+                1000,
+                [
+                    0x40e6150d269104d1,
+                    0x40469cb97f8e5af2,
+                    0xc084530c6857fe7e,
+                    0x408826da47f4279d,
+                    0x40458d371d819b58,
+                    0x407bfcece02b3d08,
+                ],
+            ),
+        ];
+        for (samples, count, bits) in cases {
+            let s = HistogramSummary::from_samples(samples);
+            assert_eq!(s.count, count);
+            let got = [s.sum, s.mean, s.min, s.max, s.p50, s.p95].map(f64::to_bits);
+            assert_eq!(got, bits, "n={}", samples.len());
+        }
     }
 
     #[test]

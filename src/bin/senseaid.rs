@@ -10,7 +10,6 @@
 //! $ senseaid list                         # what can be run
 //! ```
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use senseaid::bench::experiments::{
@@ -19,16 +18,11 @@ use senseaid::bench::experiments::{
     tab02, DEFAULT_SEED,
 };
 use senseaid::bench::{
-    run_perf_filtered, run_scenario, run_trace, savings_pct, FrameworkKind, PerfOptions,
+    recover, run_perf_filtered, run_scenario, run_trace, savings_pct, FrameworkKind, PerfOptions,
     PerfReport, TRACEABLE,
 };
-use senseaid::cellnet::{CellId, CellularNetwork};
-use senseaid::core::{
-    FaultingStorage, MemStorage, PersistConfig, RequestId, SenseAidConfig, SenseAidServer,
-    StorageFaultPlan, TaskSpec,
-};
-use senseaid::device::{ImeiHash, Sensor, SensorReading};
-use senseaid::geo::{CircleRegion, GeoPoint, NamedLocation, TowerSite};
+use senseaid::core::{FaultingStorage, MemStorage, PersistConfig, StorageFaultPlan};
+use senseaid::geo::NamedLocation;
 use senseaid::serve::{run_loadgen, serve, LoadgenOptions, ServeOptions};
 use senseaid::sim::{SimDuration, SimTime};
 use senseaid::workload::ScenarioConfig;
@@ -286,180 +280,8 @@ fn cmd_perf(args: &[String]) -> ExitCode {
             }
             println!("device-lease bookkeeping overhead {pct:+.2}% (within the 2% budget)");
         }
-        // And the session layer: tracked envelopes, the dedup cache and
-        // the push ledger must cost less than 2% over the raw live path.
-        if let Some(pct) = report.session_ledger_overhead_pct() {
-            if pct > 2.0 {
-                eprintln!("session-ledger overhead {pct:+.2}% exceeds the 2% budget");
-                return ExitCode::FAILURE;
-            }
-            println!("session-ledger overhead {pct:+.2}% (within the 2% budget)");
-        }
     }
     ExitCode::SUCCESS
-}
-
-/// One recorded control-plane call, so the reference server can replay
-/// exactly the prefix that survived on disk.
-#[derive(Clone)]
-enum RecordedCall {
-    Register(u64, f64, SimTime),
-    Observe(ImeiHash, GeoPoint, Option<CellId>),
-    UpdateState(ImeiHash, f64, f64, SimTime),
-    SubmitTask(TaskSpec, SimTime),
-    Poll(SimTime),
-    Deliver(ImeiHash, RequestId, SensorReading, SimTime),
-    Drain,
-}
-
-fn apply_recorded(call: &RecordedCall, server: &mut SenseAidServer) {
-    match call {
-        RecordedCall::Register(imei, battery, t) => {
-            let _ = server.register_device(
-                ImeiHash(*imei),
-                495.0,
-                15.0,
-                *battery,
-                vec![Sensor::Barometer],
-                "GalaxyS4".to_owned(),
-                *t,
-            );
-        }
-        RecordedCall::Observe(imei, p, cell) => {
-            let _ = server.observe_device(*imei, *p, *cell);
-        }
-        RecordedCall::UpdateState(imei, battery, cs, t) => {
-            let _ = server.update_device_state(*imei, *battery, *cs, *t);
-        }
-        RecordedCall::SubmitTask(spec, t) => {
-            let _ = server.submit_task(spec.clone(), *t);
-        }
-        RecordedCall::Poll(t) => {
-            let _ = server.poll(*t);
-        }
-        RecordedCall::Deliver(imei, request, reading, t) => {
-            let _ = server.submit_sensed_data(*imei, *request, reading, *t);
-        }
-        RecordedCall::Drain => {
-            let _ = server.drain_outbox();
-        }
-    }
-}
-
-fn recover_centre() -> GeoPoint {
-    GeoPoint::new(40.4284, -86.9138)
-}
-
-fn recover_network() -> CellularNetwork {
-    let sites: Vec<TowerSite> = (0..4)
-        .map(|i| TowerSite {
-            index: i,
-            position: recover_centre().offset_by_meters(
-                (i as f64 / 2.0).floor() * 1500.0 - 750.0,
-                (i % 2) as f64 * 1500.0 - 750.0,
-            ),
-            coverage_m: 1500.0,
-        })
-        .collect();
-    CellularNetwork::new(sites)
-}
-
-fn recover_mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn recover_offset(x: u64, lane: u64) -> f64 {
-    let u = recover_mix(x ^ lane.wrapping_mul(0xa076_1d64_78bd_642f)) >> 11;
-    (u as f64 / (1u64 << 53) as f64) * 2000.0 - 1000.0
-}
-
-fn recover_fresh_server() -> SenseAidServer {
-    let mut server = SenseAidServer::new(SenseAidConfig::default());
-    server.set_topology(recover_network());
-    server
-}
-
-/// Drives `server` through `rounds` five-minute scheduling rounds with
-/// device-state churn, recording every call and the generation →
-/// calls-at-persist map. Snapshots every other round.
-fn recover_drive(
-    server: &mut SenseAidServer,
-    devices: u64,
-    rounds: u64,
-    seed: u64,
-) -> (Vec<RecordedCall>, BTreeMap<u64, usize>, SimTime) {
-    let net = recover_network();
-    let mut calls: Vec<RecordedCall> = Vec::new();
-    let mut gen_calls: BTreeMap<u64, usize> = BTreeMap::new();
-    if let Some(g) = server.persist_generation() {
-        gen_calls.insert(g, 0);
-    }
-    let t0 = SimTime::ZERO;
-    for imei in 1..=devices {
-        let call = RecordedCall::Register(imei, 40.0 + (recover_mix(seed ^ imei) % 61) as f64, t0);
-        apply_recorded(&call, server);
-        calls.push(call);
-        let p = recover_centre().offset_by_meters(
-            recover_offset(seed ^ imei, 1),
-            recover_offset(seed ^ imei, 2),
-        );
-        let call = RecordedCall::Observe(ImeiHash(imei), p, net.serving_cell(p));
-        apply_recorded(&call, server);
-        calls.push(call);
-    }
-    let spec = TaskSpec::builder(Sensor::Barometer)
-        .region(CircleRegion::new(recover_centre(), 900.0))
-        .spatial_density(3)
-        .sampling_period(SimDuration::from_mins(5))
-        .sampling_duration(SimDuration::from_mins(5 * rounds + 30))
-        .build()
-        .expect("static task spec is valid");
-    let call = RecordedCall::SubmitTask(spec, t0);
-    apply_recorded(&call, server);
-    calls.push(call);
-
-    let mut now = t0;
-    for round in 0..rounds {
-        now += SimDuration::from_mins(5);
-        for k in 0..devices / 20 {
-            let imei = 1 + (recover_mix(seed ^ round ^ k) % devices);
-            let call = RecordedCall::UpdateState(
-                ImeiHash(imei),
-                30.0 + (recover_mix(imei ^ round) % 70) as f64,
-                (round * 2) as f64,
-                now,
-            );
-            apply_recorded(&call, server);
-            calls.push(call);
-        }
-        let assignments = server.poll(now).unwrap_or_default();
-        calls.push(RecordedCall::Poll(now));
-        for a in &assignments {
-            for imei in &a.devices {
-                let reading = SensorReading {
-                    sensor: Sensor::Barometer,
-                    value: 1000.0 + (imei.0 % 30) as f64,
-                    taken_at: a.sample_at,
-                    position: recover_centre(),
-                };
-                let call = RecordedCall::Deliver(*imei, a.request, reading, now);
-                apply_recorded(&call, server);
-                calls.push(call);
-            }
-        }
-        apply_recorded(&RecordedCall::Drain, server);
-        calls.push(RecordedCall::Drain);
-        if round % 2 == 1 {
-            server.take_snapshot(now);
-            if let Some(g) = server.persist_generation() {
-                gen_calls.entry(g).or_insert(calls.len());
-            }
-        }
-    }
-    (calls, gen_calls, now)
 }
 
 /// `senseaid recover`: drive a persisted control plane under a seeded
@@ -490,14 +312,14 @@ fn cmd_recover(args: &[String]) -> ExitCode {
         "recover: {devices} devices, {rounds} rounds, seed {seed}, fault {preset} (fault seed {fault_seed})"
     );
     let storage = FaultingStorage::new(Box::new(MemStorage::new()), plan);
-    let mut durable = recover_fresh_server();
+    let mut durable = recover::fresh_server();
     if let Err(e) =
         durable.enable_persistence(Box::new(storage), PersistConfig::default(), SimTime::ZERO)
     {
         eprintln!("cannot arm persistence: {e}");
         return ExitCode::FAILURE;
     }
-    let (calls, gen_calls, t_crash) = recover_drive(&mut durable, devices, rounds, seed);
+    let (calls, gen_calls, t_crash) = recover::drive(&mut durable, devices, rounds, seed);
     if let Some(stats) = durable.persist_stats() {
         let full_bytes = durable.durable_digest(t_crash).len() as u64;
         println!(
@@ -517,7 +339,7 @@ fn cmd_recover(args: &[String]) -> ExitCode {
         eprintln!("persistence was not armed at crash time");
         return ExitCode::FAILURE;
     };
-    let mut recovered = recover_fresh_server();
+    let mut recovered = recover::fresh_server();
     let report = match recovered.recover_from_storage(storage, PersistConfig::default(), t_crash) {
         Ok(report) => report,
         Err(e) => {
@@ -544,43 +366,15 @@ fn cmd_recover(args: &[String]) -> ExitCode {
         );
     }
 
-    // The surviving prefix: calls covered by the loaded generation plus
-    // the replayed journal suffix.
-    let base = match report.loaded_generation {
-        Some(g) => match gen_calls.get(&g) {
-            Some(&n) => n,
-            None => {
-                eprintln!("FAIL: loaded generation {g} was never written by this run");
+    let survived =
+        match recover::check_surviving_prefix(&mut recovered, &report, &calls, &gen_calls, t_crash)
+        {
+            Ok(survived) => survived,
+            Err(e) => {
+                eprintln!("FAIL: {e}");
                 return ExitCode::FAILURE;
             }
-        },
-        None => 0,
-    };
-    let survived = base + report.ops_replayed as usize;
-    if survived > calls.len() {
-        eprintln!(
-            "FAIL: replay invented {survived} calls, only {} happened",
-            calls.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    let mut reference = recover_fresh_server();
-    for call in &calls[..survived] {
-        apply_recorded(call, &mut reference);
-    }
-
-    // Equalise the reconcile pass recovery ran, then compare bytes.
-    let t = t_crash + SimDuration::from_mins(5);
-    let a = recovered.poll(t).unwrap_or_default();
-    let b = reference.poll(t).unwrap_or_default();
-    if a != b {
-        eprintln!("FAIL: post-recovery assignments diverged from the surviving prefix");
-        return ExitCode::FAILURE;
-    }
-    if recovered.durable_digest(t) != reference.durable_digest(t) {
-        eprintln!("FAIL: recovered state is not byte-identical to the surviving prefix");
-        return ExitCode::FAILURE;
-    }
+        };
     println!(
         "OK: recovered state byte-identical to the surviving prefix ({survived}/{} calls)",
         calls.len()

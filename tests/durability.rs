@@ -9,181 +9,12 @@
 //! and must land exactly on the state produced by the surviving prefix
 //! of operations.
 
-use std::collections::BTreeMap;
-
-use senseaid::cellnet::{CellId, CellularNetwork};
-use senseaid::core::{
-    FaultingStorage, MemStorage, PersistConfig, SenseAidConfig, SenseAidServer, StorageFaultPlan,
-    TaskSpec,
+use senseaid::bench::recover::{
+    apply, centre, check_surviving_prefix, drive, fresh_server, network, offset, spec,
 };
+use senseaid::core::{FaultingStorage, MemStorage, PersistConfig, StorageFaultPlan};
 use senseaid::device::{ImeiHash, Sensor, SensorReading};
-use senseaid::geo::{CircleRegion, GeoPoint, TowerSite};
 use senseaid::sim::{SimDuration, SimTime};
-
-fn centre() -> GeoPoint {
-    GeoPoint::new(40.4284, -86.9138)
-}
-
-fn network() -> CellularNetwork {
-    let sites: Vec<TowerSite> = (0..4)
-        .map(|i| TowerSite {
-            index: i,
-            position: centre().offset_by_meters(
-                (i as f64 / 2.0).floor() * 1500.0 - 750.0,
-                (i % 2) as f64 * 1500.0 - 750.0,
-            ),
-            coverage_m: 1500.0,
-        })
-        .collect();
-    CellularNetwork::new(sites)
-}
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn offset(x: u64, lane: u64) -> f64 {
-    let u = mix(x ^ lane.wrapping_mul(0xa076_1d64_78bd_642f)) >> 11;
-    (u as f64 / (1u64 << 53) as f64) * 2000.0 - 1000.0
-}
-
-fn spec(radius: f64, duration_min: u64) -> TaskSpec {
-    TaskSpec::builder(Sensor::Barometer)
-        .region(CircleRegion::new(centre(), radius))
-        .spatial_density(3)
-        .sampling_period(SimDuration::from_mins(5))
-        .sampling_duration(SimDuration::from_mins(duration_min))
-        .build()
-        .unwrap()
-}
-
-/// One recorded API call, so a reference server can replay the exact
-/// prefix that survived on disk.
-#[derive(Clone)]
-enum Call {
-    Register(u64, f64, SimTime),
-    Observe(ImeiHash, GeoPoint, Option<CellId>),
-    UpdateState(ImeiHash, f64, f64, SimTime),
-    SubmitTask(TaskSpec, SimTime),
-    Poll(SimTime),
-    Deliver(ImeiHash, senseaid::core::RequestId, SensorReading, SimTime),
-    Drain,
-}
-
-fn apply(call: &Call, server: &mut SenseAidServer) {
-    match call {
-        Call::Register(imei, battery, t) => {
-            let _ = server.register_device(
-                ImeiHash(*imei),
-                495.0,
-                15.0,
-                *battery,
-                vec![Sensor::Barometer],
-                "GalaxyS4".to_owned(),
-                *t,
-            );
-        }
-        Call::Observe(imei, p, cell) => {
-            let _ = server.observe_device(*imei, *p, *cell);
-        }
-        Call::UpdateState(imei, battery, cs, t) => {
-            let _ = server.update_device_state(*imei, *battery, *cs, *t);
-        }
-        Call::SubmitTask(spec, t) => {
-            let _ = server.submit_task(spec.clone(), *t);
-        }
-        Call::Poll(t) => {
-            let _ = server.poll(*t);
-        }
-        Call::Deliver(imei, request, reading, t) => {
-            let _ = server.submit_sensed_data(*imei, *request, reading, *t);
-        }
-        Call::Drain => {
-            let _ = server.drain_outbox();
-        }
-    }
-}
-
-fn fresh_server() -> SenseAidServer {
-    let mut server = SenseAidServer::new(SenseAidConfig::default());
-    server.set_topology(network());
-    server
-}
-
-/// Drives `server` through `rounds` five-minute scheduling rounds with
-/// device churn, recording every call. Snapshots every other round.
-/// Returns the recorded trace, the generation → calls-at-persist map,
-/// and the crash instant.
-fn drive(
-    server: &mut SenseAidServer,
-    devices: u64,
-    rounds: u64,
-    seed: u64,
-) -> (Vec<Call>, BTreeMap<u64, usize>, SimTime) {
-    let net = network();
-    let mut calls: Vec<Call> = Vec::new();
-    let mut gen_calls: BTreeMap<u64, usize> = BTreeMap::new();
-    if let Some(g) = server.persist_generation() {
-        gen_calls.insert(g, 0);
-    }
-    let t0 = SimTime::ZERO;
-    for imei in 1..=devices {
-        let call = Call::Register(imei, 40.0 + (mix(seed ^ imei) % 61) as f64, t0);
-        apply(&call, server);
-        calls.push(call);
-        let p = centre().offset_by_meters(offset(seed ^ imei, 1), offset(seed ^ imei, 2));
-        let call = Call::Observe(ImeiHash(imei), p, net.serving_cell(p));
-        apply(&call, server);
-        calls.push(call);
-    }
-    let call = Call::SubmitTask(spec(900.0, 5 * rounds + 30), t0);
-    apply(&call, server);
-    calls.push(call);
-
-    let mut now = t0;
-    for round in 0..rounds {
-        now += SimDuration::from_mins(5);
-        // A slice of devices reports fresh state each round.
-        for k in 0..devices / 20 {
-            let imei = 1 + (mix(seed ^ round ^ k) % devices);
-            let call = Call::UpdateState(
-                ImeiHash(imei),
-                30.0 + (mix(imei ^ round) % 70) as f64,
-                (round * 2) as f64,
-                now,
-            );
-            apply(&call, server);
-            calls.push(call);
-        }
-        let assignments = server.poll(now).unwrap();
-        calls.push(Call::Poll(now));
-        for a in &assignments {
-            for imei in &a.devices {
-                let reading = SensorReading {
-                    sensor: Sensor::Barometer,
-                    value: 1000.0 + (imei.0 % 30) as f64,
-                    taken_at: a.sample_at,
-                    position: centre(),
-                };
-                let call = Call::Deliver(*imei, a.request, reading, now);
-                apply(&call, server);
-                calls.push(call);
-            }
-        }
-        apply(&Call::Drain, server);
-        calls.push(Call::Drain);
-        if round % 2 == 1 {
-            server.take_snapshot(now);
-            if let Some(g) = server.persist_generation() {
-                gen_calls.entry(g).or_insert(calls.len());
-            }
-        }
-    }
-    (calls, gen_calls, now)
-}
 
 /// Crash + recover-from-disk with no faults is invisible: the recovered
 /// server is byte-identical to the never-crashed twin and stays in
@@ -275,24 +106,9 @@ fn faulted_recovery_equals_surviving_prefix() {
                 .recover_from_storage(storage, PersistConfig::default(), t_crash)
                 .expect("matrix presets never exhaust the disk");
 
-            // The surviving prefix: calls covered by the loaded
-            // generation plus the replayed journal suffix.
-            let base = match report.loaded_generation {
-                Some(g) => *gen_calls
-                    .get(&g)
-                    .expect("loaded generation was written by this run"),
-                None => 0,
-            };
-            let survived = base + report.ops_replayed as usize;
-            assert!(
-                survived <= calls.len(),
-                "{preset}/{fault_seed}: replay invented {survived} > {} calls",
-                calls.len()
-            );
-            let mut reference = fresh_server();
-            for call in &calls[..survived] {
-                apply(call, &mut reference);
-            }
+            let survived =
+                check_surviving_prefix(&mut recovered, &report, &calls, &gen_calls, t_crash)
+                    .unwrap_or_else(|e| panic!("{preset}/{fault_seed}: {e}"));
 
             // Truthfulness: anything lost is reported, never papered
             // over.
@@ -306,19 +122,6 @@ fn faulted_recovery_equals_surviving_prefix() {
                 assert!(from <= to);
                 assert_eq!(to, t_crash);
             }
-
-            // Equalise the reconcile pass and compare bytes.
-            let t = t_crash + SimDuration::from_mins(5);
-            assert_eq!(
-                recovered.poll(t).unwrap(),
-                reference.poll(t).unwrap(),
-                "{preset}/{fault_seed}: assignments diverged"
-            );
-            assert_eq!(
-                recovered.durable_digest(t),
-                reference.durable_digest(t),
-                "{preset}/{fault_seed}: recovered state is not the surviving prefix"
-            );
         }
     }
 }
