@@ -78,8 +78,8 @@ pub use config::{DegradedConfig, SenseAidConfig, Variant};
 pub use env::EnvVarError;
 pub use error::SenseAidError;
 pub use persist::{
-    CodecError, DirStorage, FaultTally, FaultingStorage, MemStorage, PersistConfig, PersistError,
-    PersistStats, RecoveryReport, StorageBackend, StorageError, StorageFaultPlan,
+    BatchAppended, CodecError, DirStorage, FaultTally, FaultingStorage, MemStorage, PersistConfig,
+    PersistError, PersistStats, RecoveryReport, StorageBackend, StorageError, StorageFaultPlan,
 };
 pub use policy::{
     DeadlineAware, DropLowestDeficit, DropNewest, ScoredPolicy, SelectionPolicy, ShedCandidate,

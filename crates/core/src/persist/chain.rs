@@ -31,7 +31,7 @@ use super::codec::{
     open_frame, seal_frame, ByteReader, ByteWriter, CodecError, KIND_MANIFEST, KIND_SNAPSHOT_DELTA,
     KIND_SNAPSHOT_FULL,
 };
-use super::journal::{decode_segment, encode_record, JournalOp};
+use super::journal::{decode_segment, encode_record_into, JournalOp};
 use super::snapshot::{apply_delta, decode_delta, decode_full, encode_delta, encode_full};
 use super::storage::StorageBackend;
 use super::{PersistConfig, PersistError};
@@ -104,8 +104,11 @@ pub struct PersistStats {
     pub journal_records: u64,
     /// Journal bytes appended successfully.
     pub journal_bytes: u64,
-    /// Journal appends the backend refused (the sequence number is still
-    /// consumed, so replay stops truthfully at the gap).
+    /// Journal records the backend refused (the sequence number is still
+    /// consumed, so replay stops truthfully at the gap). A refused
+    /// one-write commit counts every record it carried.
+    /// `journal_records + append_failures` is the count of sequence
+    /// numbers that have been committed.
     pub append_failures: u64,
     /// Snapshot writes the backend refused (the generation is not
     /// advanced; dirty state is kept for the next attempt).
@@ -122,6 +125,13 @@ pub struct Persistor {
     entries: Vec<ManifestEntry>,
     journal_file: String,
     journal_seq: u64,
+    /// Encoded records not yet handed to storage, back to back, and the
+    /// end offset of each. Empty between calls unless `held`.
+    pending: Vec<u8>,
+    pending_ends: Vec<usize>,
+    /// Inside a [`hold`](Self::hold) / [`commit`](Self::commit) bracket:
+    /// appends stay in `pending` until the commit.
+    held: bool,
     since_full: u32,
     stats: PersistStats,
 }
@@ -161,6 +171,9 @@ impl Persistor {
             entries,
             journal_file: journal_name(generation),
             journal_seq,
+            pending: Vec::new(),
+            pending_ends: Vec::new(),
+            held: false,
             since_full: 0,
             stats: PersistStats::default(),
         };
@@ -192,8 +205,9 @@ impl Persistor {
     }
 
     /// Hands the storage backend back (crash simulation: the "disk"
-    /// survives the process).
-    pub(crate) fn into_storage(self) -> Box<dyn StorageBackend> {
+    /// survives the process), pending records written first.
+    pub(crate) fn into_storage(mut self) -> Box<dyn StorageBackend> {
+        self.commit();
         self.storage
     }
 
@@ -209,6 +223,9 @@ impl Persistor {
         base_gen: u64,
         payload: &[u8],
     ) -> Result<u64, PersistError> {
+        // Held records precede this snapshot's watermark: they belong to
+        // the segment being closed, not the one about to open.
+        self.write_pending();
         let framed = seal_frame(kind, payload);
         let bytes = framed.len() as u64;
         if let Err(e) = self.storage.write(&snap_name(gen), &framed) {
@@ -271,19 +288,47 @@ impl Persistor {
     /// Appends one journaled op, consuming the next sequence number
     /// whether or not the backend accepts the bytes — a failed append
     /// must leave a *gap*, so replay stops there instead of silently
-    /// skipping a mutation.
+    /// skipping a mutation. The record goes to storage before this
+    /// returns unless a [`hold`](Self::hold) is open.
     pub(crate) fn append_op(&mut self, op: &JournalOp) -> u64 {
         let seq = self.journal_seq;
         self.journal_seq += 1;
-        let bytes = encode_record(seq, op);
-        match self.storage.append(&self.journal_file, &bytes) {
-            Ok(()) => {
-                self.stats.journal_records += 1;
-                self.stats.journal_bytes += bytes.len() as u64;
-            }
-            Err(_) => self.stats.append_failures += 1,
+        encode_record_into(&mut self.pending, seq, op);
+        self.pending_ends.push(self.pending.len());
+        if !self.held {
+            self.write_pending();
         }
         seq
+    }
+
+    /// Opens a bracket in which appended records wait in memory; the
+    /// matching [`commit`](Self::commit) hands them to storage together.
+    /// Only a caller that owns the point where effects leave the process
+    /// (the live server's hand-off of response frames) should hold, and
+    /// it must commit before that point.
+    pub(crate) fn hold(&mut self) {
+        self.held = true;
+    }
+
+    /// Closes the bracket: everything pending goes to storage as one
+    /// batch, and later appends are written through again.
+    pub(crate) fn commit(&mut self) {
+        self.held = false;
+        self.write_pending();
+    }
+
+    fn write_pending(&mut self) {
+        if self.pending_ends.is_empty() {
+            return;
+        }
+        let landed =
+            self.storage
+                .append_batch(&self.journal_file, &self.pending, &self.pending_ends);
+        self.stats.journal_records += landed.records;
+        self.stats.journal_bytes += landed.bytes;
+        self.stats.append_failures += self.pending_ends.len() as u64 - landed.records;
+        self.pending.clear();
+        self.pending_ends.clear();
     }
 }
 

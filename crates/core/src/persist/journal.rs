@@ -32,7 +32,7 @@ use crate::store::device_store::DeviceRecord;
 use crate::task::{TaskId, TaskSpec};
 
 use super::codec::{
-    open_frame_prefix, seal_frame, ByteReader, ByteWriter, CodecError, KIND_JOURNAL,
+    begin_frame, end_frame, open_frame_prefix, ByteReader, ByteWriter, CodecError, KIND_JOURNAL,
 };
 use super::snapshot::{
     put_duration, put_point, put_reading, put_record, put_region, put_spec, put_time,
@@ -491,12 +491,27 @@ fn take_op(r: &mut ByteReader<'_>) -> Result<JournalOp, CodecError> {
     })
 }
 
-/// Encodes one journal record: a sealed frame carrying `(seq, op)`.
+/// Encodes one journal record — a sealed frame carrying `(seq, op)` —
+/// straight onto the end of `out`, which keeps its earlier records and
+/// its capacity: a buffer that has seen one busy turn encodes the next
+/// without allocating.
+pub(crate) fn encode_record_into(out: &mut Vec<u8>, seq: u64, op: &JournalOp) {
+    let start = begin_frame(out, KIND_JOURNAL);
+    let mut w = ByteWriter::from_vec(std::mem::take(out));
+    w.put_u64(seq);
+    put_op(&mut w, op);
+    *out = w.into_bytes();
+    end_frame(out, start);
+}
+
+/// The reference encoding [`encode_record_into`] must reproduce byte for
+/// byte: payload built on its own, then sealed.
+#[cfg(test)]
 pub(crate) fn encode_record(seq: u64, op: &JournalOp) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(seq);
     put_op(&mut w, op);
-    seal_frame(KIND_JOURNAL, &w.into_bytes())
+    super::codec::seal_frame(KIND_JOURNAL, &w.into_bytes())
 }
 
 /// Decodes one record payload into `(seq, op)`, rejecting trailing bytes.
@@ -620,11 +635,87 @@ mod tests {
                 )],
                 now: SimTime::from_mins(4),
             },
+            JournalOp::SubmitBatch {
+                imei: ImeiHash(7),
+                seq: 3,
+                attempt: 2,
+                readings: Vec::new(),
+                now: SimTime::from_mins(4),
+            },
+            JournalOp::SubmitBatch {
+                imei: ImeiHash(7),
+                seq: 4,
+                attempt: 1,
+                readings: (0..64)
+                    .map(|i| {
+                        (
+                            RequestId(10 + i),
+                            SensorReading {
+                                sensor: Sensor::Barometer,
+                                value: 1000.0 + i as f64,
+                                taken_at: SimTime::from_mins(5),
+                                position: GeoPoint::new(40.4284, -86.9138),
+                            },
+                        )
+                    })
+                    .collect(),
+                now: SimTime::from_mins(5),
+            },
+            JournalOp::UpdatePreferences {
+                imei: ImeiHash(7),
+                energy_budget_j: 300.0,
+                critical_battery_pct: 20.0,
+            },
+            JournalOp::UpdateDeviceState {
+                imei: ImeiHash(7),
+                battery_pct: 71.5,
+                cs_energy_j: 12.25,
+                now: SimTime::from_mins(6),
+            },
+            JournalOp::RecordComm {
+                imei: ImeiHash(7),
+                now: SimTime::from_mins(6),
+            },
             JournalOp::NoteClientDrops { dropped: 2 },
             JournalOp::DrainOutbox,
             JournalOp::DeleteTask { task: TaskId(1) },
             JournalOp::Deregister { imei: ImeiHash(7) },
         ]
+    }
+
+    /// `sample_ops` must keep covering every variant: a new one fails to
+    /// compile here until it is given a tag, and fails the assertion
+    /// until it is given a sample.
+    #[test]
+    fn in_place_encoding_equals_the_reference_on_every_variant() {
+        let ops = sample_ops();
+        let mut seen = [false; 14];
+        let mut pending = b"earlier bytes stay".to_vec();
+        let mut want = pending.clone();
+        for (i, op) in ops.iter().enumerate() {
+            let tag = match op {
+                JournalOp::Register { .. } => 0,
+                JournalOp::Deregister { .. } => 1,
+                JournalOp::UpdatePreferences { .. } => 2,
+                JournalOp::UpdateDeviceState { .. } => 3,
+                JournalOp::Observe { .. } => 4,
+                JournalOp::RecordComm { .. } => 5,
+                JournalOp::SubmitTask { .. } => 6,
+                JournalOp::UpdateTaskParam { .. } => 7,
+                JournalOp::DeleteTask { .. } => 8,
+                JournalOp::Poll { .. } => 9,
+                JournalOp::SubmitData { .. } => 10,
+                JournalOp::SubmitBatch { .. } => 11,
+                JournalOp::NoteClientDrops { .. } => 12,
+                JournalOp::DrainOutbox => 13,
+            };
+            seen[tag] = true;
+            let seq = 1_000 + i as u64;
+            encode_record_into(&mut pending, seq, op);
+            want.extend_from_slice(&encode_record(seq, op));
+            assert_eq!(pending, want, "record {i} ({op:?}) diverged");
+        }
+        assert_eq!(seen, [true; 14], "a JournalOp variant has no sample");
     }
 
     #[test]

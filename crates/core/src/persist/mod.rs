@@ -14,8 +14,8 @@
 //!   bounds-checked byte reader/writer every encoder builds on. A frame
 //!   that fails its checksum is *detected*, never decoded.
 //! * [`storage`] — the [`StorageBackend`] trait (atomic whole-file write,
-//!   append, read, list, remove) with in-memory, directory-backed, and
-//!   fault-injecting implementations. [`FaultingStorage`] mangles writes
+//!   append, batched append, read, list, remove) with in-memory,
+//!   directory-backed, and fault-injecting implementations. [`FaultingStorage`] mangles writes
 //!   under a seeded [`StorageFaultPlan`] — torn writes, truncation, bit
 //!   flips, dropped (stale-generation) writes, disk-full — so recovery is
 //!   tested against the failure modes real disks exhibit.
@@ -49,8 +49,8 @@ use std::fmt;
 pub use chain::{PersistStats, Persistor, RecoveryReport};
 pub use codec::CodecError;
 pub use storage::{
-    DirStorage, FaultTally, FaultingStorage, MemStorage, StorageBackend, StorageError,
-    StorageFaultPlan,
+    BatchAppended, DirStorage, FaultTally, FaultingStorage, MemStorage, StorageBackend,
+    StorageError, StorageFaultPlan,
 };
 
 /// Configuration for the persistence layer.

@@ -2,12 +2,14 @@
 //! storage-fault injection.
 //!
 //! The chain manager talks to a [`StorageBackend`] — a tiny flat-file
-//! abstraction (named blobs, atomic whole-file writes, appends). Three
+//! abstraction (named blobs, atomic whole-file writes, appends, and a
+//! batched append that defaults to one append per record). Three
 //! implementations ship:
 //!
 //! - [`MemStorage`]: a deterministic in-memory map, the test and
 //!   simulation default;
-//! - [`DirStorage`]: a directory of real files, for the CLI smoke arm;
+//! - [`DirStorage`]: a directory of real files, for the CLI and the live
+//!   server; it keeps the file it last appended to open;
 //! - [`FaultingStorage`]: a wrapper that applies a seeded
 //!   [`StorageFaultPlan`] (torn writes, truncation, bit flips, dropped
 //!   writes, disk-full) to whatever it wraps, in the spirit of the
@@ -15,6 +17,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fs::File;
+use std::io::Write as _;
 use std::path::PathBuf;
 
 use senseaid_sim::SimRng;
@@ -42,6 +46,15 @@ impl fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
+/// What an [`append_batch`](StorageBackend::append_batch) landed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchAppended {
+    /// Records the backend accepted.
+    pub records: u64,
+    /// Their bytes.
+    pub bytes: u64,
+}
+
 /// A flat namespace of named byte blobs. `write` replaces the whole blob
 /// atomically; `append` extends it (creating it if absent). Implementors
 /// must keep `list` deterministic (sorted by name).
@@ -50,6 +63,29 @@ pub trait StorageBackend: fmt::Debug + Send {
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError>;
     /// Appends `bytes` to `name`, creating it if absent.
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError>;
+    /// Appends a run of records to `name`: record `i` is
+    /// `bytes[ends[i - 1]..ends[i]]` (from `0` for the first), and
+    /// `ends` is ascending with its last entry `bytes.len()`. Returns
+    /// what was accepted.
+    ///
+    /// The default is one [`append`](Self::append) per record, in order,
+    /// refusals counted record by record — so a wrapper that only knows
+    /// `append` (fault injection, timing) sees exactly the calls it would
+    /// have seen without batching. A backend that can land the run in
+    /// one operation overrides this; it then accepts or refuses the run
+    /// as a whole.
+    fn append_batch(&mut self, name: &str, bytes: &[u8], ends: &[usize]) -> BatchAppended {
+        let mut landed = BatchAppended::default();
+        let mut start = 0;
+        for &end in ends {
+            if self.append(name, &bytes[start..end]).is_ok() {
+                landed.records += 1;
+                landed.bytes += (end - start) as u64;
+            }
+            start = end;
+        }
+        landed
+    }
     /// Reads the whole blob.
     fn read(&self, name: &str) -> Result<Vec<u8>, StorageError>;
     /// All blob names, sorted.
@@ -137,10 +173,20 @@ impl StorageBackend for MemStorage {
 
 /// A directory of real files, one per blob. Writes go through a temp file
 /// plus rename so a crash mid-write can tear an *append* but never a
-/// whole-file `write`. Used by the `senseaid recover` CLI arm.
+/// whole-file `write`. Used by `senseaid recover` and `senseaid serve`.
+///
+/// The file last appended to (the current journal segment) stays open,
+/// so an append is one `write(2)`. Nothing is buffered in user space:
+/// every accepted byte is in the kernel when the call returns, which is
+/// what survives a process kill. Nothing is `fsync`ed, so power loss is
+/// not covered.
 #[derive(Debug)]
 pub struct DirStorage {
     dir: PathBuf,
+    /// The open append handle and the name it belongs to. `write` and
+    /// `remove` of that name drop it: both leave the handle pointing at
+    /// an unlinked inode.
+    appending: Option<(String, File)>,
 }
 
 impl DirStorage {
@@ -148,30 +194,64 @@ impl DirStorage {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| StorageError::Io(e.to_string()))?;
-        Ok(DirStorage { dir })
+        Ok(DirStorage {
+            dir,
+            appending: None,
+        })
     }
 
     fn path(&self, name: &str) -> PathBuf {
         self.dir.join(name)
     }
+
+    fn release(&mut self, name: &str) {
+        if self
+            .appending
+            .as_ref()
+            .is_some_and(|(held, _)| held == name)
+        {
+            self.appending = None;
+        }
+    }
 }
 
 impl StorageBackend for DirStorage {
     fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
+        self.release(name);
         let tmp = self.path(&format!("{name}.tmp"));
         std::fs::write(&tmp, bytes).map_err(|e| StorageError::Io(e.to_string()))?;
         std::fs::rename(&tmp, self.path(name)).map_err(|e| StorageError::Io(e.to_string()))
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))
-            .map_err(|e| StorageError::Io(e.to_string()))?;
-        f.write_all(bytes)
-            .map_err(|e| StorageError::Io(e.to_string()))
+        let file = match &mut self.appending {
+            Some((held, file)) if held == name => file,
+            slot => {
+                let file = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(self.dir.join(name))
+                    .map_err(|e| StorageError::Io(e.to_string()))?;
+                &mut slot.insert((name.to_owned(), file)).1
+            }
+        };
+        let written = file.write_all(bytes);
+        if written.is_err() {
+            // Whatever state the handle is in, the next append starts
+            // from a fresh open.
+            self.appending = None;
+        }
+        written.map_err(|e| StorageError::Io(e.to_string()))
+    }
+
+    fn append_batch(&mut self, name: &str, bytes: &[u8], ends: &[usize]) -> BatchAppended {
+        match self.append(name, bytes) {
+            Ok(()) => BatchAppended {
+                records: ends.len() as u64,
+                bytes: bytes.len() as u64,
+            },
+            Err(_) => BatchAppended::default(),
+        }
     }
 
     fn read(&self, name: &str) -> Result<Vec<u8>, StorageError> {
@@ -198,6 +278,7 @@ impl StorageBackend for DirStorage {
     }
 
     fn remove(&mut self, name: &str) -> Result<(), StorageError> {
+        self.release(name);
         match std::fs::remove_file(self.path(name)) {
             Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
@@ -405,6 +486,137 @@ mod tests {
         assert_eq!(s.list().unwrap(), vec!["a".to_owned(), "b".to_owned()]);
         s.remove("a").unwrap();
         assert_eq!(s.read("a"), Err(StorageError::NotFound));
+    }
+
+    /// A fresh directory under the system temp dir, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("senseaid-dirstorage-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn dir_appends_are_visible_without_any_flush() {
+        let tmp = TempDir::new("visible");
+        let mut s = DirStorage::open(&tmp.0).unwrap();
+        s.append("journal-1", b"one").unwrap();
+        s.append("journal-1", b"two").unwrap();
+        // The handle is still open, and both the backend's own reads and
+        // an independent reader see every byte.
+        assert_eq!(s.read("journal-1").unwrap(), b"onetwo");
+        assert_eq!(s.list().unwrap(), vec!["journal-1".to_owned()]);
+        let other = DirStorage::open(&tmp.0).unwrap();
+        assert_eq!(other.read("journal-1").unwrap(), b"onetwo");
+    }
+
+    #[test]
+    fn dir_write_replaces_the_file_under_a_held_handle() {
+        let tmp = TempDir::new("rotate");
+        let mut s = DirStorage::open(&tmp.0).unwrap();
+        s.append("journal-1", b"old generation").unwrap();
+        // What `write_generation` does to open a segment.
+        s.write("journal-1", b"").unwrap();
+        s.append("journal-1", b"new").unwrap();
+        assert_eq!(
+            s.read("journal-1").unwrap(),
+            b"new",
+            "the append went to the unlinked file the old handle pointed at"
+        );
+    }
+
+    #[test]
+    fn dir_remove_drops_the_held_handle() {
+        let tmp = TempDir::new("remove");
+        let mut s = DirStorage::open(&tmp.0).unwrap();
+        s.append("journal-1", b"gone").unwrap();
+        s.remove("journal-1").unwrap();
+        assert_eq!(s.read("journal-1"), Err(StorageError::NotFound));
+        s.append("journal-1", b"back").unwrap();
+        assert_eq!(s.read("journal-1").unwrap(), b"back");
+    }
+
+    #[test]
+    fn dir_interleaved_appends_to_two_names_all_land() {
+        let tmp = TempDir::new("interleave");
+        let mut s = DirStorage::open(&tmp.0).unwrap();
+        for i in 0..10u8 {
+            s.append("a", &[i]).unwrap();
+            s.append("b", &[100 + i]).unwrap();
+        }
+        assert_eq!(s.read("a").unwrap(), (0..10).collect::<Vec<u8>>());
+        assert_eq!(s.read("b").unwrap(), (100..110).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn batched_append_lands_the_same_bytes_on_every_backend() {
+        let tmp = TempDir::new("batch");
+        let records: [&[u8]; 3] = [b"first", b"", b"third record"];
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for r in records {
+            bytes.extend_from_slice(r);
+            ends.push(bytes.len());
+        }
+        let all = BatchAppended {
+            records: 3,
+            bytes: bytes.len() as u64,
+        };
+        let mut mem = MemStorage::new();
+        let mut dir = DirStorage::open(&tmp.0).unwrap();
+        for s in [&mut mem as &mut dyn StorageBackend, &mut dir] {
+            s.append("j", b"head:").unwrap();
+            assert_eq!(s.append_batch("j", &bytes, &ends), all);
+            assert_eq!(s.read("j").unwrap(), b"head:firstthird record");
+        }
+    }
+
+    /// A wrapper that does not know about batches sees one `append` per
+    /// record: the fault RNG stream, and so every mangled byte, is what
+    /// record-by-record appends produce, and refusals are counted per
+    /// record.
+    #[test]
+    fn batched_append_through_a_wrapper_is_one_append_per_record() {
+        let records: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 30 + i as usize]).collect();
+        let mut bytes = Vec::new();
+        let mut ends = Vec::new();
+        for r in &records {
+            bytes.extend_from_slice(r);
+            ends.push(bytes.len());
+        }
+        for preset in ["mixed", "torn-write", "disk-full"] {
+            let mut plan = StorageFaultPlan::preset(preset, 9).unwrap();
+            if preset == "disk-full" {
+                plan.disk_full_after = Some(1_000);
+            }
+            let mut one_by_one = FaultingStorage::new(Box::new(MemStorage::new()), plan.clone());
+            let mut accepted = BatchAppended::default();
+            for r in &records {
+                if one_by_one.append("j", r).is_ok() {
+                    accepted.records += 1;
+                    accepted.bytes += r.len() as u64;
+                }
+            }
+            let mut batched = FaultingStorage::new(Box::new(MemStorage::new()), plan);
+            assert_eq!(
+                batched.append_batch("j", &bytes, &ends),
+                accepted,
+                "{preset}"
+            );
+            assert_eq!(batched.tally(), one_by_one.tally(), "{preset}");
+            assert_eq!(batched.read("j"), one_by_one.read("j"), "{preset}");
+            assert!(one_by_one.tally().total() > 0, "{preset} injected nothing");
+        }
     }
 
     #[test]

@@ -467,7 +467,9 @@ impl SenseAidServer {
     /// Detaches and returns the storage backend, disabling persistence.
     /// Crash simulation uses this as "the process died, the disk
     /// survived": detach, build a fresh server, hand the backend to
-    /// [`recover_from_storage`](Self::recover_from_storage).
+    /// [`recover_from_storage`](Self::recover_from_storage). Records
+    /// still held by [`hold_journal`](Self::hold_journal) are written
+    /// first; to lose them, drop the server instead.
     pub fn detach_persistence(&mut self) -> Option<Box<dyn StorageBackend>> {
         self.coordinator.set_dirty_tracking(false);
         self.persist.take().map(Persistor::into_storage)
@@ -505,6 +507,31 @@ impl SenseAidServer {
     #[cfg(test)]
     pub(crate) fn control_snapshot(&self, now: SimTime) -> ControlSnapshot {
         self.coordinator.snapshot(now)
+    }
+
+    /// Opens a bracket in which journal records are encoded but kept in
+    /// memory; [`commit_journal`](Self::commit_journal) closes it by
+    /// writing them to storage as one batch. Outside a bracket — the
+    /// default, and what every caller but the live TCP server uses —
+    /// each record is written before the mutating call returns.
+    ///
+    /// The caller owns the consequence: nothing that reveals a held
+    /// mutation (a response, a push) may leave the process before the
+    /// commit. A snapshot taken inside the bracket writes the held
+    /// records first. A no-op without persistence.
+    pub fn hold_journal(&mut self) {
+        if let Some(persist) = self.persist.as_mut() {
+            persist.hold();
+        }
+    }
+
+    /// Closes a [`hold_journal`](Self::hold_journal) bracket. Storage
+    /// refusals are counted in [`PersistStats::append_failures`], one per
+    /// record. Free when nothing is pending.
+    pub fn commit_journal(&mut self) {
+        if let Some(persist) = self.persist.as_mut() {
+            persist.commit();
+        }
     }
 
     /// Appends one journal record when persistence is armed. The op is

@@ -102,6 +102,11 @@ pub struct FlushSummary {
     pub snapshots_persisted: u64,
     /// The durable generation after the flush.
     pub generation: Option<u64>,
+    /// Journal records storage refused over the server's lifetime; each
+    /// is a gap recovery would stop at.
+    pub append_failures: u64,
+    /// Snapshot writes storage refused, the shutdown flush included.
+    pub snapshot_write_failures: u64,
     /// Pushes still sitting unacked in session ledgers at flush time.
     /// Delivery is not durable state, so these are *reported*, not
     /// persisted: a client resuming against a restarted server re-Hellos
@@ -202,7 +207,8 @@ impl ServeEngine {
         &self.server
     }
 
-    /// Mutable access (persistence arming at startup).
+    /// Mutable access (persistence arming at startup, the live server's
+    /// journal bracket).
     pub fn server_mut(&mut self) -> &mut SenseAidServer {
         &mut self.server
     }
@@ -725,7 +731,9 @@ impl ServeEngine {
     }
 
     /// Graceful-shutdown flush: advance the scheduler to `now`, persist
-    /// a final snapshot when a WAL is armed, and report what is durable.
+    /// a final snapshot when a WAL is armed (which also writes any
+    /// journal records still held), and report what is durable and what
+    /// storage refused.
     pub fn shutdown_flush(&mut self) -> FlushSummary {
         let now = self.clock.now();
         let _ = self.advance_to(now);
@@ -734,15 +742,14 @@ impl ServeEngine {
         if armed {
             self.server.take_snapshot(now);
         }
-        let stats = self.server.persist_stats();
+        let stats = self.server.persist_stats().unwrap_or_default();
         FlushSummary {
             persistence_armed: armed,
-            journal_records: stats.as_ref().map(|s| s.journal_records).unwrap_or(0),
-            snapshots_persisted: stats
-                .as_ref()
-                .map(|s| s.snapshots_full + s.snapshots_delta)
-                .unwrap_or(0),
+            journal_records: stats.journal_records,
+            snapshots_persisted: stats.snapshots_full + stats.snapshots_delta,
             generation: self.server.persist_generation(),
+            append_failures: stats.append_failures,
+            snapshot_write_failures: stats.snapshot_write_failures,
             unacked_pushes,
         }
     }

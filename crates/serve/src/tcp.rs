@@ -36,11 +36,20 @@
 //! by one [`Waker::wake`]. Order within a connection is the order of the
 //! `Vec`s, so responses stay FIFO.
 //!
+//! **The journal is committed once per turn, before the hand-off.** With
+//! a WAL armed the engine thread holds the turn's journal records in
+//! memory (`SenseAidServer::hold_journal`) and writes them with one
+//! `write(2)` (`commit_journal`) before any `WorkerMsg::Send` of that
+//! turn: a frame reaches a worker only after the records that justify
+//! it are in the kernel. That is the same guarantee a write per record
+//! gave — it survives a process kill, not power loss; nothing calls
+//! `fsync` — at one system call per turn instead of three per record.
+//!
 //! Graceful shutdown (duration elapsed, [`ServeHandle::shutdown`], or a
 //! wire `Shutdown` request): the engine advances the scheduler to "now",
 //! persists a final snapshot when a WAL is armed, workers flush pending
-//! writes, and the summary reports the flush so operators (and the CI
-//! smoke job) can assert it was clean.
+//! writes, and the summary reports the flush — `clean` only if storage
+//! refused nothing — so operators (and the CI smoke job) can assert it.
 
 use std::collections::HashMap;
 use std::io::{self, Read as _, Write as _};
@@ -134,8 +143,20 @@ pub struct ServeSummary {
 
 impl ServeSummary {
     /// One-line operator rendering; the CI smoke job greps
-    /// `flush=clean`.
+    /// `flush=clean`, which is printed only when storage refused neither
+    /// a journal record nor a snapshot.
     pub fn render(&self) -> String {
+        let flush = &self.flush;
+        let verdict = if !flush.persistence_armed {
+            "volatile".to_owned()
+        } else if flush.append_failures == 0 && flush.snapshot_write_failures == 0 {
+            "clean".to_owned()
+        } else {
+            format!(
+                "degraded(appends={},snapshots={})",
+                flush.append_failures, flush.snapshot_write_failures
+            )
+        };
         format!(
             "serve: shutdown requests={} connections={} bad_frames={} pushes={} reaped_idle={} reaped_slow={} wal_records={} snapshots={} generation={} flush={}",
             self.requests,
@@ -150,11 +171,7 @@ impl ServeSummary {
                 .generation
                 .map(|g| g.to_string())
                 .unwrap_or_else(|| "-".to_owned()),
-            if self.flush.persistence_armed {
-                "clean"
-            } else {
-                "volatile"
-            }
+            verdict
         )
     }
 }
@@ -735,6 +752,9 @@ fn run(
         }
 
         wake.clear(fds[1].ready(POLLIN));
+        // This turn's journal records are written once, at the commit
+        // below, not one by one.
+        engine.server_mut().hold_journal();
         backlog = true;
         for _ in 0..ENGINE_BATCH {
             let event = match event_rx.try_recv() {
@@ -777,11 +797,16 @@ fn run(
             }
         }
 
-        // Fire any wakeups that came due on the wall clock, then hand
-        // each worker everything this turn produced for it in one message.
+        // Fire any wakeups that came due on the wall clock.
         for (to, frame) in engine.advance_to(engine.now()) {
             outgoing[worker_of(to)].push((to, frame));
         }
+        // The commit rule: a frame is handed to a worker only after the
+        // records of the turn that produced it were written, so a peer
+        // never holds an answer the journal does not.
+        engine.server_mut().commit_journal();
+        // Each worker gets everything this turn produced for it in one
+        // message.
         for (worker, frames) in outgoing.iter_mut().enumerate() {
             if !frames.is_empty() {
                 let frames = std::mem::take(frames);
@@ -825,6 +850,72 @@ mod tests {
             total += n;
         }
         total
+    }
+
+    /// `flush=clean` is a claim about storage, not about configuration:
+    /// a disk that filled up mid-run must show in the summary line.
+    #[test]
+    fn the_summary_says_degraded_when_storage_refused_writes() {
+        use senseaid_core::persist::{FaultingStorage, MemStorage, StorageFaultPlan};
+        use senseaid_core::runtime::SimClock;
+
+        use crate::wire::WireRequest;
+
+        let flush_of = |preset: &str| {
+            let plan = StorageFaultPlan::preset(preset, 5).unwrap();
+            let storage = FaultingStorage::new(Box::new(MemStorage::new()), plan);
+            let mut server = trace_server(1);
+            server
+                .enable_persistence(Box::new(storage), PersistConfig::default(), SimTime::ZERO)
+                .unwrap();
+            let mut engine = ServeEngine::new(server, Arc::new(SimClock::new()));
+            // ~100 B a record against the preset's 64 KiB budget.
+            for imei in 1..=1_500 {
+                engine.handle(
+                    1,
+                    WireRequest::Register {
+                        imei,
+                        energy_budget_j: 400.0,
+                        critical_battery_pct: 10.0,
+                        battery_pct: 90.0,
+                        device_type: "test-phone".to_owned(),
+                        sensors: vec![senseaid_device::Sensor::Barometer],
+                    },
+                );
+            }
+            engine.shutdown_flush()
+        };
+
+        let flush = flush_of("none");
+        assert_eq!(
+            (flush.append_failures, flush.snapshot_write_failures),
+            (0, 0)
+        );
+        let line = ServeSummary {
+            flush,
+            ..ServeSummary::default()
+        }
+        .render();
+        assert!(line.ends_with("flush=clean"), "{line}");
+
+        let flush = flush_of("disk-full");
+        assert!(flush.persistence_armed);
+        assert!(flush.append_failures > 0, "the budget never ran out");
+        assert_eq!(
+            flush.snapshot_write_failures, 1,
+            "the closing snapshot cannot fit either"
+        );
+        assert_eq!(flush.journal_records + flush.append_failures, 1_500);
+        let line = ServeSummary {
+            flush,
+            ..ServeSummary::default()
+        }
+        .render();
+        let want = format!(
+            "flush=degraded(appends={},snapshots=1)",
+            flush.append_failures
+        );
+        assert!(line.ends_with(&want), "{line}");
     }
 
     #[test]

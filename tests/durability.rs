@@ -81,6 +81,60 @@ fn recovery_without_faults_matches_never_crashed_twin() {
     assert_eq!(recovered.stats(), twin.stats());
 }
 
+/// One cell of the fault matrix: drive a persisted server under a seeded
+/// fault plan, crash it, recover from what reached the backend, and hold
+/// the recovery to the surviving-prefix contract. With `held` the whole
+/// drive runs inside one `hold_journal` bracket (the live server's mode),
+/// so its commits are the ones its snapshots force plus the closing one.
+fn faulted_round_trip(preset: &str, fault_seed: u64, held: bool) {
+    let cell = format!("{preset}/{fault_seed}/held={held}");
+    let plan = StorageFaultPlan::preset(preset, fault_seed).unwrap();
+    let storage = FaultingStorage::new(Box::new(MemStorage::new()), plan);
+
+    let mut durable = fresh_server();
+    durable
+        .enable_persistence(Box::new(storage), PersistConfig::default(), SimTime::ZERO)
+        .unwrap();
+    if held {
+        durable.hold_journal();
+    }
+    let (calls, gen_calls, t_crash) = drive(&mut durable, 300, 10, 5);
+    durable.commit_journal();
+    let stats = durable.persist_stats().unwrap();
+    assert_eq!(
+        stats.journal_records + stats.append_failures,
+        calls.len() as u64,
+        "{cell}: a record is neither written nor refused"
+    );
+
+    durable.crash();
+    let storage = durable.detach_persistence().unwrap();
+    let mut recovered = fresh_server();
+    // A full disk cannot take the post-recovery snapshot, so persistence
+    // is not re-armed; the in-memory recovery stands.
+    let report = recovered
+        .recover_from_storage(storage, PersistConfig::default(), t_crash)
+        .unwrap_or_else(|_| {
+            assert_eq!(preset, "disk-full", "{cell} did not recover");
+            recovered.last_recovery_report().unwrap().clone()
+        });
+
+    let survived = check_surviving_prefix(&mut recovered, &report, &calls, &gen_calls, t_crash)
+        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+
+    // Truthfulness: anything lost is reported, never papered over.
+    if survived < calls.len() {
+        assert!(
+            report.lost_window.is_some() || report.loaded_generation.is_some(),
+            "{cell}: loss without a report"
+        );
+    }
+    if let Some((from, to)) = report.lost_window {
+        assert!(from <= to);
+        assert_eq!(to, t_crash);
+    }
+}
+
 /// Under every seeded fault plan, recovery lands exactly on the state a
 /// reference server reaches by replaying the surviving call prefix:
 /// snapshot chain fallback skips corrupt generations, journal replay
@@ -90,38 +144,20 @@ fn recovery_without_faults_matches_never_crashed_twin() {
 fn faulted_recovery_equals_surviving_prefix() {
     for preset in ["torn-write", "truncate", "bit-flip", "stale", "mixed"] {
         for fault_seed in [11_u64, 23, 47] {
-            let plan = StorageFaultPlan::preset(preset, fault_seed).unwrap();
-            let storage = FaultingStorage::new(Box::new(MemStorage::new()), plan);
+            faulted_round_trip(preset, fault_seed, false);
+        }
+    }
+}
 
-            let mut durable = fresh_server();
-            durable
-                .enable_persistence(Box::new(storage), PersistConfig::default(), SimTime::ZERO)
-                .unwrap();
-            let (calls, gen_calls, t_crash) = drive(&mut durable, 300, 10, 5);
-
-            durable.crash();
-            let storage = durable.detach_persistence().unwrap();
-            let mut recovered = fresh_server();
-            let report = recovered
-                .recover_from_storage(storage, PersistConfig::default(), t_crash)
-                .expect("matrix presets never exhaust the disk");
-
-            let survived =
-                check_surviving_prefix(&mut recovered, &report, &calls, &gen_calls, t_crash)
-                    .unwrap_or_else(|e| panic!("{preset}/{fault_seed}: {e}"));
-
-            // Truthfulness: anything lost is reported, never papered
-            // over.
-            if survived < calls.len() {
-                assert!(
-                    report.lost_window.is_some() || report.loaded_generation.is_some(),
-                    "{preset}/{fault_seed}: loss without a report"
-                );
-            }
-            if let Some((from, to)) = report.lost_window {
-                assert!(from <= to);
-                assert_eq!(to, t_crash);
-            }
+/// The same contract with the journal held and committed in batches: the
+/// faulting backend still sees one append per record, and a refused
+/// batch or a full disk only ever shortens the surviving prefix,
+/// truthfully.
+#[test]
+fn faulted_recovery_with_held_commits_equals_surviving_prefix() {
+    for preset in ["torn-write", "disk-full", "mixed"] {
+        for fault_seed in [11_u64, 23, 47] {
+            faulted_round_trip(preset, fault_seed, true);
         }
     }
 }

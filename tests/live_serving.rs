@@ -5,14 +5,17 @@
 //! the `duration` deadline, a worker's is the reaper sweep. These tests
 //! leave the server *silent* and check that each of those still happens
 //! on time — a wrong timeout shows as a push, a shutdown or a reap that
-//! never comes. A last test checks that batching the hand-offs between
-//! threads did not reorder anything.
+//! never comes. Two more check what batching must not cost: the
+//! hand-offs between threads reorder nothing, and a response never
+//! overtakes the journal records of the request it answers.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use senseaid::core::{DirStorage, PersistConfig};
 use senseaid::device::Sensor;
+use senseaid::serve::trace::trace_server;
 use senseaid::serve::wire::{decode_frame, WireFrame, DISCONNECT_IDLE, DISCONNECT_WRITE_OVERFLOW};
 use senseaid::serve::{
     encode_request, serve, FrameAssembler, ServeOptions, WirePush, WireRequest, WireResponse,
@@ -353,4 +356,99 @@ fn pipelined_responses_stay_fifo_across_batched_handoffs() {
     let summary = handle.shutdown();
     assert_eq!(summary.requests, REQUESTS as u64);
     assert_eq!(summary.bad_frames, 0);
+}
+
+/// The journal is committed once per engine turn, *before* that turn's
+/// frames are handed to the socket workers. So the moment a client holds
+/// the last response, every record those requests produced is in the
+/// kernel: a copy of the directory taken then — server still running, no
+/// flush asked for — is a crash image that recovers all of them.
+#[test]
+fn an_acknowledged_request_is_already_in_the_journal() {
+    const REQUESTS: usize = 2_000;
+    let base = std::env::temp_dir().join(format!("senseaid-ack-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (wal, image) = (base.join("wal"), base.join("image"));
+
+    let handle = quiet_server(ServeOptions {
+        persist_dir: Some(wal.clone()),
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect(handle.addr());
+
+    // `Register` and `Comm` journal one record each; `Observe` and
+    // `StateUpdate` journal the lease renewal and then their own.
+    let mut wire = Vec::new();
+    let (mut registered, mut records_due) = (0u64, 0u64);
+    for k in 0..REQUESTS {
+        let request = match k % 4 {
+            0 => {
+                registered += 1;
+                records_due += 1;
+                register(registered)
+            }
+            1 => {
+                records_due += 2;
+                WireRequest::Observe {
+                    imei: registered,
+                    lat_deg: CAMPUS.0,
+                    lon_deg: CAMPUS.1,
+                    cell: None,
+                }
+            }
+            2 => {
+                records_due += 2;
+                WireRequest::StateUpdate {
+                    imei: registered,
+                    battery_pct: 80.0,
+                    cs_energy_j: 1.5,
+                }
+            }
+            _ => {
+                records_due += 1;
+                WireRequest::Comm { imei: registered }
+            }
+        };
+        wire.extend(encode_request(&request));
+    }
+    client.stream.write_all(&wire).unwrap();
+    for k in 0..REQUESTS {
+        assert_eq!(client.next_response(), WireResponse::Ok, "response {k}");
+    }
+
+    // The crash image: whatever the files hold right now.
+    std::fs::create_dir_all(&image).unwrap();
+    for entry in std::fs::read_dir(&wal).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+    }
+    let mut recovered = trace_server(1);
+    let report = recovered
+        .recover_from_storage(
+            Box::new(DirStorage::open(&image).unwrap()),
+            PersistConfig::default(),
+            senseaid::sim::SimTime::ZERO,
+        )
+        .expect("the image recovers");
+    assert_eq!(
+        report.journal_bytes_dropped, 0,
+        "the server is idle: nothing was mid-write"
+    );
+    assert!(!report.cold_start);
+    assert!(
+        report.ops_replayed >= records_due,
+        "acknowledged but not journaled: {} of {records_due} records",
+        report.ops_replayed
+    );
+    assert_eq!(recovered.device_count() as u64, registered);
+
+    let summary = handle.shutdown();
+    assert_eq!(summary.requests, REQUESTS as u64);
+    assert!(summary.flush.journal_records >= records_due);
+    assert!(
+        summary.render().ends_with("flush=clean"),
+        "{}",
+        summary.render()
+    );
+    let _ = std::fs::remove_dir_all(&base);
 }
