@@ -9,10 +9,11 @@
 //! otherwise — and queued on one home shard.
 //!
 //! Scheduling pops shard queue heads in global `(deadline, sample_at, id)`
-//! order and merges qualification candidates (sorted by IMEI hash) across
-//! the target shards, so for a given workload the assignment stream is
-//! byte-identical for any shard count, including the single-shard layout
-//! the paper's prototype used.
+//! order and hands the selection policy the target shards' qualified
+//! candidates — streamed into its order-insensitive fold, or merged into
+//! one IMEI-sorted slice for a policy that reads order — so for a given
+//! workload the assignment stream is byte-identical for any shard count,
+//! including the single-shard layout the paper's prototype used.
 //!
 //! At two or more configured workers (`SENSEAID_SHARD_WORKERS` or
 //! [`SenseAidConfig::shard_workers`]), `poll` runs as a two-phase
@@ -35,6 +36,7 @@ use senseaid_radio::ResetPolicy;
 use senseaid_sim::{SimDuration, SimTime, TraceEntry, TraceLog};
 use senseaid_telemetry::{Attr, Lane, SpanId, Telemetry};
 
+use crate::active::ActiveSet;
 use crate::cas::{CasId, DeliveredReading};
 use crate::config::SenseAidConfig;
 use crate::error::SenseAidError;
@@ -364,18 +366,18 @@ impl Iterator for ShardTargetIter<'_> {
     }
 }
 
-/// The compact phase-1 outcome for one due request (DESIGN.md §14):
-/// everything the serial commit needs, with the candidate rows themselves
-/// discarded so a large poll never holds per-request row buffers across
-/// the phase boundary.
+/// The outcome of gathering and selecting for one due request — computed
+/// inline by the serial loop, speculatively by the pipeline's phase 1
+/// (DESIGN.md §14): everything the commit needs, and no candidate rows.
 #[derive(Debug, Clone)]
 struct AssignPlan {
     /// Candidate count at gather time (the `N` of the selection event).
     qualified: usize,
-    /// Full selection: the picked devices, or `Err` when the policy could
-    /// not field a complete set (the serial path discards the shortfall
-    /// detail too).
-    outcome: Result<Vec<ImeiHash>, ()>,
+    /// Whether the policy fielded a complete set.
+    satisfied: bool,
+    /// The picked devices: the full selection when `satisfied`, otherwise
+    /// the best-effort subset degraded mode would serve (possibly empty).
+    picked: Vec<ImeiHash>,
 }
 
 /// The sharded scheduling core. All methods assume the surrounding server
@@ -395,7 +397,7 @@ pub(crate) struct Coordinator {
     topology: Option<CellularNetwork>,
     tasks: TaskStore,
     next_request_id: u64,
-    active: BTreeMap<RequestId, ActiveRequest>,
+    active: ActiveSet,
     statuses: BTreeMap<RequestId, RequestStatus>,
     task_owner: BTreeMap<TaskId, CasId>,
     outbox: Vec<(CasId, DeliveredReading)>,
@@ -481,7 +483,7 @@ impl Coordinator {
             topology: None,
             tasks: TaskStore::new(),
             next_request_id: 0,
-            active: BTreeMap::new(),
+            active: ActiveSet::default(),
             statuses: BTreeMap::new(),
             task_owner: BTreeMap::new(),
             outbox: Vec::new(),
@@ -715,11 +717,11 @@ impl Coordinator {
                         .filter(|d| !active.received.contains(d))
                         .count();
                 if reachable < active.request.density() {
-                    released.push(*id);
+                    released.push(id);
                 }
             }
             for id in released {
-                let active = self.active.remove(&id).expect("listed above");
+                let active = self.active.remove(id).expect("listed above");
                 if let Some(span) = self.request_spans.remove(&id) {
                     self.tel.instant(
                         "lease.released",
@@ -913,30 +915,6 @@ impl Coordinator {
         merged
     }
 
-    /// Candidate rows for `probe` across the target shards: the canonical
-    /// ascending-IMEI merge for order-sensitive policies, or a plain
-    /// shard-walk concatenation — no per-shard sort, no cross-shard merge
-    /// — when the policy declared
-    /// [order-insensitivity](SelectionPolicy::candidate_order_insensitive).
-    /// The two differ only in row order, never in the row set, so every
-    /// answer such a policy computes is identical either way; skipping the
-    /// sort+merge is what makes the pipeline's gather phase cheap.
-    fn gather_for(
-        shards: &[Shard],
-        targets: &ShardTargets,
-        probe: &QualificationProbe,
-        order_insensitive: bool,
-    ) -> Vec<CandidateRow> {
-        if !order_insensitive {
-            return Self::candidates_across(shards, targets, probe);
-        }
-        let mut out = Vec::new();
-        for s in targets.iter() {
-            shards[s].candidates_unordered_into(probe, &mut out);
-        }
-        out
-    }
-
     pub fn qualified_devices(&self, request: &Request) -> Vec<ImeiHash> {
         let probe = QualificationProbe::for_request(request);
         let targets = self.target_shards(&probe.region);
@@ -1053,7 +1031,7 @@ impl Coordinator {
         self.shards[shard].remove_device(imei);
         self.drop_lease(imei);
         // Drop it from any in-flight assignments.
-        for active in self.active.values_mut() {
+        for (_, active) in self.active.iter_mut() {
             active.assigned.retain(|d| *d != imei);
         }
         self.qual_epoch += 1;
@@ -1268,9 +1246,9 @@ impl Coordinator {
             .map(Request::id)
             .chain(
                 self.active
-                    .values()
-                    .filter(|a| a.request.task() == task)
-                    .map(|a| a.request.id()),
+                    .iter()
+                    .filter(|(_, a)| a.request.task() == task)
+                    .map(|(id, _)| id),
             )
             .collect();
         for id in cancelled {
@@ -1279,7 +1257,7 @@ impl Coordinator {
         for shard in &mut self.shards {
             shard.remove_task(task);
         }
-        self.active.retain(|_, a| a.request.task() != task);
+        self.active.retain(|a| a.request.task() != task);
         Ok(())
     }
 
@@ -1292,9 +1270,10 @@ impl Coordinator {
         let poll_span = self.enter_poll_span(now);
         self.expire_leases(now);
         self.expire_overdue(now);
-        // The two-phase pipeline (DESIGN.md §14) speculates with plain
-        // `select`, so policy-internal instants (`selector.select`) would
-        // be lost under recording; telemetry-active polls therefore take
+        // The two-phase pipeline (DESIGN.md §14) plans on worker threads
+        // and may plan a request twice, so the `selector.select` instant a
+        // plan records from its fold's counts would land out of order, or
+        // doubled, under recording; telemetry-active polls therefore take
         // the canonical serial path — recording is an analysis mode, and
         // this makes trace byte-identity across worker counts true by
         // construction rather than by argument.
@@ -1470,110 +1449,50 @@ impl Coordinator {
     // park it without a clone; its size is the point, not a problem.
     #[allow(clippy::result_large_err)]
     fn try_assign(&mut self, request: Request, now: SimTime) -> Result<Assignment, Request> {
-        self.try_assign_with(request, now, None)
+        let plan = self.plan_assign(&request, now);
+        self.commit_assign(request, now, plan)
     }
 
-    /// [`try_assign`](Self::try_assign), optionally consuming a phase-1
-    /// speculative [`AssignPlan`]. A plan replaces the inline gather +
-    /// selection; the caller vouches it is still fresh (no committed
-    /// assignment may have bumped a device in the plan's own selection —
-    /// see [`assign_due_pipelined`](Self::assign_due_pipelined) for why
-    /// that is the exact staleness condition) and that telemetry is off
-    /// (plans are computed with plain `select`, so policy-internal
-    /// instants would be lost). Everything after the selection outcome —
-    /// degraded gating, fairness bumps, bookkeeping — is the one shared
-    /// serial path.
+    /// Commits one [`AssignPlan`]: degraded gating, fairness bumps,
+    /// bookkeeping — the one serial path behind both the serial loop and
+    /// the pipeline. The caller vouches the plan is fresh: computed just
+    /// now, or speculative with none of its picked devices bumped since
+    /// (see [`assign_due_pipelined`](Self::assign_due_pipelined)).
     #[allow(clippy::result_large_err)]
-    fn try_assign_with(
+    fn commit_assign(
         &mut self,
         request: Request,
         now: SimTime,
-        plan: Option<AssignPlan>,
+        plan: AssignPlan,
     ) -> Result<Assignment, Request> {
         let task = request.task();
-        let (qualified, selected, degraded) = match plan {
-            Some(plan) => match plan.outcome {
-                Ok(selected) => {
-                    Self::note_selection_success(
-                        &mut self.degrade_state,
-                        &self.config,
-                        &self.tel,
-                        task,
-                        now,
-                    );
-                    (plan.qualified, selected, false)
-                }
-                Err(()) => {
-                    if !Self::note_selection_failure(
-                        &mut self.degrade_state,
-                        &self.config,
-                        &self.tel,
-                        task,
-                        now,
-                    ) {
-                        return Err(request);
-                    }
-                    // Degraded-mode partial service needs the actual rows,
-                    // which phase 1 discarded: re-gather inline, through
-                    // the same fast path the plan used.
-                    let probe = QualificationProbe::for_request(&request);
-                    let targets = self.target_shards(&probe.region);
-                    let candidates = Self::gather_for(
-                        &self.shards,
-                        &targets,
-                        &probe,
-                        self.policy.candidate_order_insensitive(),
-                    );
-                    let selected = self.policy.select_partial(&request, &candidates, now);
-                    if selected.is_empty() {
-                        return Err(request);
-                    }
-                    (plan.qualified, selected, true)
-                }
-            },
-            None => {
-                let probe = QualificationProbe::for_request(&request);
-                let targets = self.target_shards(&probe.region);
-                let candidates = Self::candidates_across(&self.shards, &targets, &probe);
-                let qualified = candidates.len();
-                match self
-                    .policy
-                    .select_traced(&request, &candidates, now, &self.tel)
-                {
-                    Ok(selected) => {
-                        Self::note_selection_success(
-                            &mut self.degrade_state,
-                            &self.config,
-                            &self.tel,
-                            task,
-                            now,
-                        );
-                        (qualified, selected, false)
-                    }
-                    Err(_) => {
-                        // Full selection failed. Once the task's stress
-                        // streak has lasted `degraded.enter_after`, serve
-                        // the best available subset instead of parking
-                        // forever; otherwise hand the request back for the
-                        // wait queue.
-                        if !Self::note_selection_failure(
-                            &mut self.degrade_state,
-                            &self.config,
-                            &self.tel,
-                            task,
-                            now,
-                        ) {
-                            return Err(request);
-                        }
-                        let selected = self.policy.select_partial(&request, &candidates, now);
-                        if selected.is_empty() {
-                            return Err(request);
-                        }
-                        (qualified, selected, true)
-                    }
-                }
+        let degraded = if plan.satisfied {
+            Self::note_selection_success(
+                &mut self.degrade_state,
+                &self.config,
+                &self.tel,
+                task,
+                now,
+            );
+            false
+        } else {
+            // Full selection failed. Once the task's stress streak has
+            // lasted `degraded.enter_after`, serve the best available
+            // subset instead of parking forever; otherwise hand the
+            // request back for the wait queue.
+            let serve_partial = Self::note_selection_failure(
+                &mut self.degrade_state,
+                &self.config,
+                &self.tel,
+                task,
+                now,
+            );
+            if !serve_partial || plan.picked.is_empty() {
+                return Err(request);
             }
+            true
         };
+        let (qualified, selected) = (plan.qualified, plan.picked);
         for imei in &selected {
             if let Some(idx) = self.device_index_mut(*imei) {
                 idx.bump_selected(*imei);
@@ -1723,15 +1642,8 @@ impl Coordinator {
     }
 
     fn expire_overdue(&mut self, now: SimTime) {
-        let grace = self.config.unresponsive_grace;
-        let overdue: Vec<RequestId> = self
-            .active
-            .iter()
-            .filter(|(_, a)| a.request.deadline() + grace <= now)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in overdue {
-            let active = self.active.remove(&id).expect("just listed");
+        for id in self.active.overdue(self.config.unresponsive_grace, now) {
+            let active = self.active.remove(id).expect("just listed");
             // Devices that never delivered are marked unresponsive (paper
             // §3.2: excluded from future selections until they speak).
             for imei in &active.assigned {
@@ -1790,10 +1702,8 @@ impl Coordinator {
                     ) && partial
                 }
                 _ => {
-                    let probe = QualificationProbe::for_request(&request);
-                    let targets = self.target_shards(&probe.region);
-                    let candidates = Self::candidates_across(&self.shards, &targets, &probe);
-                    if self.policy.would_select(&request, &candidates, now) {
+                    let (would, partial) = self.plan_recheck(&request, now);
+                    if would {
                         true
                     } else {
                         // An unsatisfiable park is selection stress: record
@@ -1801,7 +1711,6 @@ impl Coordinator {
                         // still accrues time towards degraded mode. Once
                         // degraded, promote whenever partial service could
                         // field at least one device.
-                        let partial = self.policy.would_select_partial(&request, &candidates, now);
                         self.recheck_memo.insert(request.id(), (epoch, partial));
                         Self::note_selection_failure(
                             &mut self.degrade_state,
@@ -1845,19 +1754,46 @@ impl Coordinator {
     // stats, the WAL, persistence digests — is byte-identical to the
     // serial path at any worker count.
 
-    /// Phase-1 worker body for one due request: gather candidates across
-    /// its target shards and run full selection. Read-only over the
-    /// control plane; safe to run concurrently with other plans.
-    fn plan_assign(&self, request: &Request, now: SimTime, order_insensitive: bool) -> AssignPlan {
+    /// Feeds every qualified candidate of the target shards to `f`, in
+    /// shard-then-walk order.
+    fn for_each_candidate(
+        &self,
+        targets: &ShardTargets,
+        probe: &QualificationProbe,
+        f: &mut dyn FnMut(&CandidateRow),
+    ) {
+        for s in targets.iter() {
+            self.shards[s].for_each_candidate(probe, f);
+        }
+    }
+
+    /// Gathers and selects for one due request. A fold policy has the
+    /// rows streamed from the target shards straight into its fold — no
+    /// candidate vector exists at any point — and a recording run gets its
+    /// `selector.select` instant from the fold's counts; a slice policy
+    /// gets the canonical ascending-IMEI merge. Read-only over the control
+    /// plane; safe to run concurrently with other plans.
+    fn plan_assign(&self, request: &Request, now: SimTime) -> AssignPlan {
         let probe = QualificationProbe::for_request(request);
         let targets = self.target_shards(&probe.region);
-        let candidates = Self::gather_for(&self.shards, &targets, &probe, order_insensitive);
+        if let Some(mut fold) = self.policy.fold(request, now) {
+            self.for_each_candidate(&targets, &probe, &mut |row| fold.push(row));
+            fold.record(&self.tel);
+            return AssignPlan {
+                qualified: fold.qualified(),
+                satisfied: fold.would_select(),
+                picked: fold.select_partial(),
+            };
+        }
+        let candidates = Self::candidates_across(&self.shards, &targets, &probe);
+        let (satisfied, picked) = match self.policy.select(request, &candidates, now) {
+            Ok(picked) => (true, picked),
+            Err(_) => (false, self.policy.select_partial(request, &candidates, now)),
+        };
         AssignPlan {
             qualified: candidates.len(),
-            outcome: self
-                .policy
-                .select(request, &candidates, now)
-                .map_err(|_| ()),
+            satisfied,
+            picked,
         }
     }
 
@@ -1874,10 +1810,12 @@ impl Coordinator {
     ///   qualification (the gather reads flags/sensor/type only) — it
     ///   strictly *worsens* the device: the fairness score term grows and
     ///   the max-selections cutoff can only newly exclude it. So a later
-    ///   `Ok` plan stays valid unless a bumped device sits in its own
+    ///   satisfied plan stays valid unless a bumped device sits in its own
     ///   selection — every selected member's score is untouched and every
-    ///   outsider's only got worse, so the top-k is unchanged — and an
-    ///   `Err` plan can never turn `Ok` (supply only shrank). Stale plans
+    ///   outsider's only got worse, so the top-k is unchanged. An
+    ///   unsatisfied plan can never turn satisfied (supply only shrank),
+    ///   and its best-effort subset is *every* eligible device, so it too
+    ///   changes only if one of its own members was bumped. Stale plans
     ///   are recomputed serially at commit time, which is exactly the
     ///   serial computation at the serial point in time.
     fn assign_due_pipelined(&mut self, now: SimTime, assignments: &mut Vec<Assignment>) {
@@ -1917,13 +1855,11 @@ impl Coordinator {
             .filter(|&(_, d)| *d == Disposition::Assign)
             .map(|(i, _)| i)
             .collect();
-        let order_insensitive = self.policy.candidate_order_insensitive();
         let plans: Vec<AssignPlan> = {
             let this: &Coordinator = self;
             let due = &due;
-            this.pool.map(work.clone(), |_, i| {
-                this.plan_assign(&due[i], now, order_insensitive)
-            })
+            this.pool
+                .map(work.clone(), |_, i| this.plan_assign(&due[i], now))
         };
         let mut plan_of: Vec<Option<AssignPlan>> = vec![None; due.len()];
         for (i, plan) in work.into_iter().zip(plans) {
@@ -1931,23 +1867,20 @@ impl Coordinator {
         }
         // Phase 2: deterministic serial commit in the drained order. A
         // speculative plan survives earlier commits unless one of them
-        // bumped a device in the plan's own selection (see the staleness
-        // argument above); stale plans are recomputed here, at the serial
-        // point in time, through the same fast gather the workers used.
+        // bumped a device the plan picked (see the staleness argument
+        // above); stale plans are recomputed here, at the serial point in
+        // time.
         let mut bumped: HashSet<ImeiHash> = HashSet::new();
         for (i, request) in due.into_iter().enumerate() {
             match dispositions[i] {
                 Disposition::Expire => self.expire_request(&request, now),
                 Disposition::Skip => {}
                 Disposition::Assign => {
-                    let mut plan = plan_of[i].take();
-                    let stale = plan.as_ref().is_some_and(
-                        |p| matches!(&p.outcome, Ok(sel) if sel.iter().any(|d| bumped.contains(d))),
-                    );
-                    if stale {
-                        plan = Some(self.plan_assign(&request, now, order_insensitive));
+                    let mut plan = plan_of[i].take().expect("planned above");
+                    if plan.picked.iter().any(|d| bumped.contains(d)) {
+                        plan = self.plan_assign(&request, now);
                     }
-                    match self.try_assign_with(request, now, plan) {
+                    match self.commit_assign(request, now, plan) {
                         Ok(assignment) => {
                             bumped.extend(assignment.devices.iter().copied());
                             self.set_status(assignment.request, RequestStatus::Assigned);
@@ -1960,18 +1893,19 @@ impl Coordinator {
         }
     }
 
-    /// Phase-1 worker body for one parked request: the promotion probes,
-    /// computed exactly as the serial recheck would (`would_select_partial`
-    /// only evaluated when full selection would fail).
-    fn plan_recheck(
-        &self,
-        request: &Request,
-        now: SimTime,
-        order_insensitive: bool,
-    ) -> (bool, bool) {
+    /// The promotion probes for one parked request: whether full
+    /// selection would succeed and, when it would not, whether best-effort
+    /// service could field anyone. Gathers like
+    /// [`plan_assign`](Self::plan_assign); read-only.
+    fn plan_recheck(&self, request: &Request, now: SimTime) -> (bool, bool) {
         let probe = QualificationProbe::for_request(request);
         let targets = self.target_shards(&probe.region);
-        let candidates = Self::gather_for(&self.shards, &targets, &probe, order_insensitive);
+        if let Some(mut fold) = self.policy.fold(request, now) {
+            self.for_each_candidate(&targets, &probe, &mut |row| fold.push(row));
+            let would = fold.would_select();
+            return (would, !would && fold.would_select_partial());
+        }
+        let candidates = Self::candidates_across(&self.shards, &targets, &probe);
         if self.policy.would_select(request, &candidates, now) {
             (true, false)
         } else {
@@ -2023,13 +1957,11 @@ impl Coordinator {
             .filter(|(_, v)| matches!(v, Verdict::Fresh))
             .map(|(i, _)| i)
             .collect();
-        let order_insensitive = self.policy.candidate_order_insensitive();
         let probes: Vec<(bool, bool)> = {
             let this: &Coordinator = self;
             let waiting = &waiting;
-            this.pool.map(fresh.clone(), |_, i| {
-                this.plan_recheck(&waiting[i], now, order_insensitive)
-            })
+            this.pool
+                .map(fresh.clone(), |_, i| this.plan_recheck(&waiting[i], now))
         };
         let mut probe_of: Vec<Option<(bool, bool)>> = vec![None; waiting.len()];
         for (i, p) in fresh.into_iter().zip(probes) {
@@ -2096,7 +2028,7 @@ impl Coordinator {
     ) -> Result<bool, SenseAidError> {
         let active = self
             .active
-            .get(&request_id)
+            .get(request_id)
             .ok_or(SenseAidError::UnknownRequest(request_id))?;
         if !active.assigned.contains(&imei) {
             return Err(SenseAidError::NotAssigned(imei, request_id));
@@ -2113,7 +2045,7 @@ impl Coordinator {
             .home
             .get(&imei)
             .and_then(|&s| self.shards[s].device_cell(imei));
-        let active = self.active.get_mut(&request_id).expect("looked up above");
+        let active = self.active.get_mut(request_id).expect("looked up above");
         let delivered = privacy::scrub(reading, imei, &active.request, cell, active.cas);
         self.outbox.push((active.cas, delivered));
         active.received.insert(imei);
@@ -2124,7 +2056,7 @@ impl Coordinator {
         let fulfilled = active.received.len() >= active.request.density();
         let task = active.request.task();
         if fulfilled {
-            self.active.remove(&request_id);
+            self.active.remove(request_id);
             self.set_status(request_id, RequestStatus::Fulfilled);
             self.stats.requests_fulfilled += 1;
             if let Ok(t) = self.tasks.get_mut(task) {
@@ -2261,7 +2193,7 @@ impl Coordinator {
                 .flat_map(Shard::wait_requests)
                 .cloned()
                 .collect(),
-            active: self.active.iter().map(|(id, a)| (*id, a.clone())).collect(),
+            active: self.active.iter().map(|(id, a)| (id, a.clone())).collect(),
             devices: {
                 let mut records: Vec<DeviceRecord> = self
                     .shards
@@ -2316,7 +2248,10 @@ impl Coordinator {
         self.delivered_log = snapshot.delivered_log;
         self.selections = snapshot.selections;
         self.selections_mark = self.selections.len();
-        self.active = snapshot.active.into_iter().collect();
+        self.active = ActiveSet::default();
+        for (id, active) in snapshot.active {
+            self.active.insert(id, active);
+        }
         // Leases are re-armed from each restored record's last contact,
         // so a device that went silent across the crash still expires on
         // schedule — restore must never mint immortal devices. Hysteresis
@@ -2358,8 +2293,7 @@ impl Coordinator {
     /// (degraded ones that delivered data finalise `Degraded`), and the
     /// rest return to the run queue to be re-announced on the next poll.
     pub fn cold_start(&mut self, now: SimTime) {
-        let lost: Vec<(RequestId, ActiveRequest)> =
-            std::mem::take(&mut self.active).into_iter().collect();
+        let lost: Vec<(RequestId, ActiveRequest)> = self.active.take_all().collect();
         for (id, active) in lost {
             if active.request.deadline() <= now {
                 if active.received.len() >= active.request.density() {
@@ -2455,7 +2389,7 @@ impl Coordinator {
                 .flat_map(Shard::wait_requests)
                 .cloned()
                 .collect(),
-            active: self.active.iter().map(|(id, a)| (*id, a.clone())).collect(),
+            active: self.active.iter().map(|(id, a)| (id, a.clone())).collect(),
             stats: self.stats,
             devices_changed,
             devices_removed,
@@ -2529,8 +2463,10 @@ impl Coordinator {
         &self.shards
     }
 
-    pub(crate) fn active_deadlines(&self) -> impl Iterator<Item = SimTime> + '_ {
-        self.active.values().map(|a| a.request.deadline())
+    /// The earliest deadline among in-flight assignments — the base of
+    /// the scheduler's `active_grace` wakeup term.
+    pub(crate) fn earliest_active_deadline(&self) -> Option<SimTime> {
+        self.active.earliest_deadline()
     }
 }
 
@@ -2753,5 +2689,91 @@ mod tests {
         );
         let state = coord.tasks.get(task).unwrap();
         assert_eq!(state.requests_expired, queued_before);
+    }
+
+    mod active_index {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What the wakeup term and `expire_overdue` computed before the
+        /// deadlines were indexed: a scan of every in-flight assignment.
+        fn scan(coord: &Coordinator, now: SimTime) -> (Option<SimTime>, Vec<RequestId>) {
+            let grace = coord.config.unresponsive_grace;
+            let deadlines = coord.active.iter().map(|(_, a)| a.request.deadline());
+            let overdue = coord
+                .active
+                .iter()
+                .filter(|(_, a)| a.request.deadline() + grace <= now)
+                .map(|(id, _)| id)
+                .collect();
+            (deadlines.min(), overdue)
+        }
+
+        proptest! {
+            /// Through any sequence of assignments, fulfilments, lease
+            /// evictions, expiries and task deletions, the ordered
+            /// deadlines answer exactly what the scan answers.
+            #[test]
+            fn ordered_deadlines_equal_a_full_scan(
+                ops in prop::collection::vec((0u32..7, 0usize..12, 1u64..200), 1..80),
+            ) {
+                let config = SenseAidConfig {
+                    device_lease: Some(SimDuration::from_mins(4)),
+                    ..SenseAidConfig::default()
+                };
+                let grace = config.unresponsive_grace;
+                let policy = ScoredPolicy::new(config.weights, config.cutoffs);
+                let mut coord = Coordinator::new(config, Box::new(policy), index);
+                for imei in 1..=12 {
+                    register(&mut coord, imei);
+                }
+                let mut now = SimTime::ZERO;
+                let mut tasks: Vec<TaskId> = Vec::new();
+                let mut outstanding: Vec<Assignment> = Vec::new();
+                for (op, pick, step) in ops {
+                    match op {
+                        0 => {
+                            let period = SimDuration::from_mins(1 + pick as u64 % 4);
+                            let spec = TaskSpec::builder(Sensor::Barometer)
+                                .region(CircleRegion::new(centre(), 300.0))
+                                .spatial_density(1 + pick % 3)
+                                .sampling_period(period)
+                                .sampling_duration(period * 3)
+                                .build()
+                                .unwrap();
+                            tasks.push(coord.submit_task_for(CasId(0), spec, now));
+                        }
+                        1 => outstanding.extend(coord.poll(now)),
+                        2 => {
+                            if !outstanding.is_empty() {
+                                let a = &outstanding[pick % outstanding.len()];
+                                let device = a.devices[pick % a.devices.len()];
+                                let _ = coord.submit_sensed_data(device, a.request, &reading(), now);
+                            }
+                        }
+                        3 => now += SimDuration::from_secs(step),
+                        4 => {
+                            let _ = coord.record_device_comm(ImeiHash(1 + pick as u64), now);
+                        }
+                        5 => {
+                            if !tasks.is_empty() {
+                                let _ = coord.delete_task(tasks[pick % tasks.len()]);
+                            }
+                        }
+                        _ => {
+                            // Far enough for leases to lapse and grace
+                            // windows to close.
+                            now += SimDuration::from_secs(step * 10);
+                            outstanding.extend(coord.poll(now));
+                        }
+                    }
+                    for at in [now, now + SimDuration::from_mins(1), now + SimDuration::from_mins(10)] {
+                        let (earliest, overdue) = scan(&coord, at);
+                        prop_assert_eq!(coord.earliest_active_deadline(), earliest);
+                        prop_assert_eq!(coord.active.overdue(grace, at), overdue);
+                    }
+                }
+            }
+        }
     }
 }

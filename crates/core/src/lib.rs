@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod active;
 pub mod adaptive;
 pub mod breaker;
 pub mod cas;
@@ -92,7 +93,7 @@ pub use runtime::{
     loopback_pair, Clock, LoopbackTransport, SimClock, Transport, TransportError, WallClock,
 };
 pub use scheduler::WakeupDriver;
-pub use selector::{DeviceSelector, HardCutoffs, InsufficientDevices, SelectorWeights};
+pub use selector::{DeviceSelector, HardCutoffs, InsufficientDevices, SelectFold, SelectorWeights};
 pub use server::{
     Assignment, BatchReceipt, ControlSnapshot, DeliveryOutcome, SelectionEvent, SenseAidServer,
     ServerStats,

@@ -14,32 +14,35 @@ use senseaid_device::ImeiHash;
 use senseaid_sim::SimTime;
 
 use crate::request::Request;
-use crate::selector::{DeviceSelector, HardCutoffs, InsufficientDevices, SelectorWeights};
+use crate::selector::{
+    DeviceSelector, HardCutoffs, InsufficientDevices, SelectFold, SelectorWeights,
+};
 use crate::store::CandidateRow;
 
 /// Decides which qualified devices serve a request.
 ///
-/// `candidates` arrive in ascending IMEI-hash order regardless of how many
-/// shards they were gathered from, so a policy that treats the slice
-/// order-insensitively (or deterministically in that order) keeps the
-/// whole control plane deterministic for any shard count. Policies that
-/// need mutable state can use interior mutability.
+/// A policy is consulted in one of two forms. A *slice* policy receives
+/// every qualified candidate at once, in ascending IMEI-hash order
+/// regardless of how many shards they were gathered from, so one that
+/// decides deterministically over that order keeps the whole control plane
+/// deterministic for any shard count. A *fold* policy (see
+/// [`fold`](Self::fold)) instead takes the rows one at a time, in whatever
+/// order the shards walk them. Policies that need mutable state can use
+/// interior mutability.
 pub trait SelectionPolicy: fmt::Debug + Send + Sync {
-    /// Whether this policy's answers depend only on the *set* of
-    /// candidates, never on their order in the slice. Declaring `true`
-    /// lets the coordinator's parallel poll pipeline gather candidates in
-    /// shard-walk order (skipping the per-shard IMEI sort and the
-    /// cross-shard ordered merge) without changing any output byte.
+    /// The policy in streaming form: a [`SelectFold`] the control plane
+    /// pushes each qualified row into — no candidate slice is built, sorted
+    /// or merged — and then asks for the selection, the best-effort subset
+    /// and the promotion probes, all from that one pass.
     ///
-    /// The default is `false` — order-sensitivity is assumed, and such
-    /// policies always see the canonical ascending-IMEI slice.
-    /// [`ScoredPolicy`] overrides this: its selection is a total-order
-    /// top-k over `(score, imei)`, its shortfall report carries only the
-    /// order-independent eligible count, and its `would_*` probes count
-    /// eligibles. Only return `true` if *every* trait method (including
-    /// overridden probes) is order-insensitive.
-    fn candidate_order_insensitive(&self) -> bool {
-        false
+    /// Returning a fold *is* the declaration that the policy's answers
+    /// depend only on the set of candidates, never on their order. The
+    /// default is `None`: order-sensitivity is assumed, and the slice
+    /// methods below see the canonical ascending-IMEI slice.
+    /// [`ScoredPolicy`] returns one: its selection is a total-order top-k
+    /// over `(score, imei)` and everything else it reports is a count.
+    fn fold(&self, _request: &Request, _now: SimTime) -> Option<SelectFold> {
+        None
     }
 
     /// Picks the devices to serve `request`, or reports the shortfall that
@@ -68,20 +71,6 @@ pub trait SelectionPolicy: fmt::Debug + Send + Sync {
     /// rules should override it (see [`ScoredPolicy`]).
     fn would_select(&self, request: &Request, candidates: &[CandidateRow], now: SimTime) -> bool {
         self.select(request, candidates, now).is_ok()
-    }
-
-    /// [`select`](Self::select) with a telemetry probe. The default simply
-    /// delegates, so policies without interesting internals (the
-    /// baselines' select-all) need not care; [`ScoredPolicy`] overrides it
-    /// to record the selector's pool/eligibility/outcome instant.
-    fn select_traced(
-        &self,
-        request: &Request,
-        candidates: &[CandidateRow],
-        now: SimTime,
-        _tel: &senseaid_telemetry::Telemetry,
-    ) -> Result<Vec<ImeiHash>, InsufficientDevices> {
-        self.select(request, candidates, now)
     }
 
     /// Best-effort selection for degraded mode: like
@@ -278,12 +267,25 @@ impl ScoredPolicy {
     }
 }
 
+impl ScoredPolicy {
+    /// The fold, run over a slice.
+    fn fold_slice(
+        &self,
+        request: &Request,
+        candidates: &[CandidateRow],
+        now: SimTime,
+    ) -> SelectFold {
+        let mut fold = self.selector.fold(request.density(), now);
+        for row in candidates {
+            fold.push(row);
+        }
+        fold
+    }
+}
+
 impl SelectionPolicy for ScoredPolicy {
-    fn candidate_order_insensitive(&self) -> bool {
-        // Selection is top-k over the total order `(score, imei)`; the
-        // shortfall report carries only the eligible count; the probes
-        // count eligibles. None of them read slice positions.
-        true
+    fn fold(&self, request: &Request, now: SimTime) -> Option<SelectFold> {
+        Some(self.selector.fold(request.density(), now))
     }
 
     fn select(
@@ -292,30 +294,11 @@ impl SelectionPolicy for ScoredPolicy {
         candidates: &[CandidateRow],
         now: SimTime,
     ) -> Result<Vec<ImeiHash>, InsufficientDevices> {
-        self.selector.select(request.density(), candidates, now)
+        self.fold_slice(request, candidates, now).select()
     }
 
-    fn would_select(&self, request: &Request, candidates: &[CandidateRow], _now: SimTime) -> bool {
-        // Eligibility is time-independent, so counting cutoffs survivors
-        // answers exactly what `select` would decide — without scoring.
-        let needed = request.density();
-        candidates
-            .iter()
-            .filter(|r| self.selector.eligible(r))
-            .take(needed)
-            .count()
-            >= needed
-    }
-
-    fn select_traced(
-        &self,
-        request: &Request,
-        candidates: &[CandidateRow],
-        now: SimTime,
-        tel: &senseaid_telemetry::Telemetry,
-    ) -> Result<Vec<ImeiHash>, InsufficientDevices> {
-        self.selector
-            .select_traced(request.density(), candidates, now, tel)
+    fn would_select(&self, request: &Request, candidates: &[CandidateRow], now: SimTime) -> bool {
+        self.fold_slice(request, candidates, now).would_select()
     }
 
     fn select_partial(
@@ -324,25 +307,16 @@ impl SelectionPolicy for ScoredPolicy {
         candidates: &[CandidateRow],
         now: SimTime,
     ) -> Vec<ImeiHash> {
-        // Score the eligible pool as usual, but ask only for as many
-        // devices as it can actually field.
-        let eligible = candidates
-            .iter()
-            .filter(|r| self.selector.eligible(r))
-            .count();
-        let n = request.density().min(eligible);
-        if n == 0 {
-            return Vec::new();
-        }
-        self.selector.select(n, candidates, now).unwrap_or_default()
+        self.fold_slice(request, candidates, now).select_partial()
     }
 
     fn would_select_partial(
         &self,
-        _request: &Request,
+        request: &Request,
         candidates: &[CandidateRow],
-        _now: SimTime,
+        now: SimTime,
     ) -> bool {
-        candidates.iter().any(|r| self.selector.eligible(r))
+        self.fold_slice(request, candidates, now)
+            .would_select_partial()
     }
 }

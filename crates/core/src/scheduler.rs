@@ -57,9 +57,8 @@ impl Coordinator {
             }
         }
 
-        let grace = self.config().unresponsive_grace;
-        for deadline in self.active_deadlines() {
-            consider(deadline + grace, "active_grace");
+        if let Some(deadline) = self.earliest_active_deadline() {
+            consider(deadline + self.config().unresponsive_grace, "active_grace");
         }
 
         if let Some(expiry) = self.next_lease_expiry() {

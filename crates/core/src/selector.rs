@@ -19,14 +19,18 @@
 //! level (paper: "there are also hard cutoffs for the first three
 //! criteria").
 //!
-//! Scoring consumes flat [`CandidateRow`]s — the qualification pass copies
-//! the scored fields out of the store into a dense array, so the hot loop
-//! here never dereferences a record pointer.
+//! Selection is one pass: a [`SelectFold`] takes flat [`CandidateRow`]s one
+//! at a time — straight from the store's walk, or from a slice — applies
+//! the cutoffs, scores the survivors and keeps the best `n` in a small
+//! sorted buffer. Nothing is collected per candidate, and because
+//! `(score, imei)` is a total order the result does not depend on the
+//! order the rows arrive in.
 
 use serde::{Deserialize, Serialize};
 
 use senseaid_device::ImeiHash;
 use senseaid_sim::SimTime;
+use senseaid_telemetry::{Attr, Lane, SpanId, Telemetry};
 
 use crate::store::CandidateRow;
 
@@ -167,6 +171,19 @@ impl DeviceSelector {
             && row.battery_pct > battery_floor
     }
 
+    /// Starts a selection of the best `n` devices at `now`; feed it every
+    /// qualified row with [`SelectFold::push`].
+    pub fn fold(&self, n: usize, now: SimTime) -> SelectFold {
+        SelectFold {
+            selector: *self,
+            needed: n,
+            now,
+            qualified: 0,
+            eligible: 0,
+            best: Vec::new(),
+        }
+    }
+
     /// Chooses the best `n` devices from `candidates`.
     ///
     /// Ties break on IMEI hash so selection is deterministic.
@@ -182,65 +199,124 @@ impl DeviceSelector {
         candidates: &[CandidateRow],
         now: SimTime,
     ) -> Result<Vec<ImeiHash>, InsufficientDevices> {
-        let mut eligible: Vec<(ImeiHash, f64)> = candidates
-            .iter()
-            .filter(|r| self.eligible(r))
-            .map(|r| (r.imei, self.score(r, now)))
-            .collect();
-        if eligible.len() < n {
-            return Err(InsufficientDevices {
-                needed: n,
-                available: eligible.len(),
-            });
+        let mut fold = self.fold(n, now);
+        for row in candidates {
+            fold.push(row);
         }
-        if n == 0 {
-            return Ok(Vec::new());
+        fold.select()
+    }
+}
+
+/// Whether `a` is selected before `b`: lower score, then lower IMEI hash.
+/// A total order — scores are finite and IMEIs unique.
+fn precedes(a: &(f64, ImeiHash), b: &(f64, ImeiHash)) -> bool {
+    a.0.partial_cmp(&b.0)
+        .expect("scores are finite")
+        .then(a.1.cmp(&b.1))
+        .is_lt()
+}
+
+/// One selection in progress: a single pass over the qualified rows that
+/// counts them, counts the ones passing the hard cutoffs, and keeps the
+/// best `n` of those ordered by `(score, imei)`.
+///
+/// Every answer the control plane needs about a candidate pool falls out
+/// of the same pass — the full selection, the best-effort subset, whether
+/// either would succeed, and the counts the `selector.select` telemetry
+/// instant reports — and none of them depends on the order rows were
+/// pushed in, so rows can be streamed from shards in walk order.
+#[derive(Debug, Clone)]
+pub struct SelectFold {
+    selector: DeviceSelector,
+    needed: usize,
+    now: SimTime,
+    qualified: usize,
+    eligible: usize,
+    /// The best `needed` eligible rows so far, ascending.
+    best: Vec<(f64, ImeiHash)>,
+}
+
+impl SelectFold {
+    /// Takes one qualified row.
+    pub fn push(&mut self, row: &CandidateRow) {
+        self.qualified += 1;
+        if !self.selector.eligible(row) {
+            return;
         }
-        // `(score, imei)` is a total order (scores finite, IMEIs unique),
-        // so partitioning the best `n` to the front and then ordering only
-        // those `n` reproduces the full sort's first `n` entries exactly —
-        // O(N + k log k) instead of O(N log N) over the candidate pool.
-        let cmp = |a: &(ImeiHash, f64), b: &(ImeiHash, f64)| {
-            a.1.partial_cmp(&b.1)
-                .expect("scores are finite")
-                .then(a.0.cmp(&b.0))
-        };
-        if n < eligible.len() {
-            eligible.select_nth_unstable_by(n - 1, cmp);
-            eligible.truncate(n);
+        self.eligible += 1;
+        let entry = (self.selector.score(row, self.now), row.imei);
+        if self.best.len() == self.needed {
+            match self.best.last() {
+                Some(worst) if precedes(&entry, worst) => self.best.pop(),
+                _ => return,
+            };
         }
-        eligible.sort_unstable_by(cmp);
-        Ok(eligible.into_iter().map(|(imei, _)| imei).collect())
+        let at = self.best.partition_point(|kept| precedes(kept, &entry));
+        self.best.insert(at, entry);
     }
 
-    /// [`DeviceSelector::select`] with a telemetry probe: records one
-    /// `selector.select` instant per execution (pool size, eligible count,
-    /// outcome). The eligibility recount only happens while recording.
-    pub fn select_traced(
-        &self,
-        n: usize,
-        candidates: &[CandidateRow],
-        now: SimTime,
-        tel: &senseaid_telemetry::Telemetry,
-    ) -> Result<Vec<ImeiHash>, InsufficientDevices> {
-        let result = self.select(n, candidates, now);
+    /// Rows pushed so far — the pool size `N`.
+    pub fn qualified(&self) -> usize {
+        self.qualified
+    }
+
+    /// Rows so far that passed the hard cutoffs.
+    pub fn eligible(&self) -> usize {
+        self.eligible
+    }
+
+    /// Whether [`select`](Self::select) would succeed.
+    pub fn would_select(&self) -> bool {
+        self.eligible >= self.needed
+    }
+
+    /// Whether any row passed the hard cutoffs, i.e. best-effort service
+    /// could field at least one device.
+    pub fn would_select_partial(&self) -> bool {
+        self.eligible > 0
+    }
+
+    /// The best `n` devices, best first.
+    ///
+    /// # Errors
+    ///
+    /// [`InsufficientDevices`] when fewer than `n` rows passed the hard
+    /// cutoffs.
+    pub fn select(&self) -> Result<Vec<ImeiHash>, InsufficientDevices> {
+        if self.would_select() {
+            Ok(self.select_partial())
+        } else {
+            Err(InsufficientDevices {
+                needed: self.needed,
+                available: self.eligible,
+            })
+        }
+    }
+
+    /// The best `min(n, eligible)` devices, best first — degraded mode's
+    /// best-effort subset. Equal to [`select`](Self::select)'s devices
+    /// whenever that succeeds.
+    pub fn select_partial(&self) -> Vec<ImeiHash> {
+        self.best.iter().map(|&(_, imei)| imei).collect()
+    }
+
+    /// Records the `selector.select` telemetry instant for this execution:
+    /// pool size, eligible count, outcome.
+    pub fn record(&self, tel: &Telemetry) {
         if tel.active() {
-            use senseaid_telemetry::{Attr, Lane, SpanId};
-            let eligible = candidates.iter().filter(|r| self.eligible(r)).count();
             tel.instant(
                 "selector.select",
-                now,
+                self.now,
                 Lane::control(0),
                 SpanId::NONE,
                 vec![
-                    Attr::u64("needed", n as u64),
-                    Attr::u64("pool", candidates.len() as u64),
-                    Attr::u64("eligible", eligible as u64),
-                    Attr::flag("satisfied", result.is_ok()),
+                    Attr::u64("needed", self.needed as u64),
+                    Attr::u64("pool", self.qualified as u64),
+                    Attr::u64("eligible", self.eligible as u64),
+                    Attr::flag("satisfied", self.would_select()),
                 ],
             );
         }
-        result
     }
 }
 
@@ -467,10 +543,13 @@ mod tests {
             Ok(eligible.into_iter().take(n).map(|(imei, _)| imei).collect())
         }
 
+        /// Rows over the whole eligibility range; a third of them are
+        /// drawn from a handful of coarse values, so equal scores — ties
+        /// the IMEI hash must break — are common.
         fn arb_row() -> impl Strategy<Value = CandidateRow> {
             (
                 1u64..500,
-                0.0f64..400.0,
+                0.0f64..600.0,
                 0.0f64..100.0,
                 0u64..12,
                 0u64..3600,
@@ -484,16 +563,26 @@ mod tests {
                         r.times_selected = selections;
                         r.last_comm = SimTime::from_secs(comm_s);
                         r.reliability = reliability;
+                        if id % 3 == 0 {
+                            r.cs_energy_j = (cs_energy / 300.0).floor() * 300.0;
+                            r.battery_pct = if battery < 20.0 { 10.0 } else { 90.0 };
+                            r.times_selected = selections % 2;
+                            r.last_comm = SimTime::ZERO;
+                        }
                         r.row()
                     },
                 )
         }
 
         proptest! {
+            /// The fold is `select`: it returns what a full sort returns —
+            /// same devices, same order, same shortfall report — for any
+            /// `n` from 0 to beyond the pool, in any push order, and the
+            /// probes derived from it are the counts they replaced.
             #[test]
             fn top_k_matches_full_sort(
                 rows in prop::collection::vec(arb_row(), 0..40),
-                n in 0usize..12,
+                n in 0usize..45,
                 now_s in 0u64..7200,
             ) {
                 // IMEIs must be unique for the tiebreak to be total.
@@ -502,10 +591,28 @@ mod tests {
                 rows.dedup_by_key(|r| r.imei);
                 let sel = selector();
                 let now = SimTime::from_secs(now_s);
-                prop_assert_eq!(
-                    sel.select(n, &rows, now),
-                    full_sort_select(&sel, n, &rows, now)
-                );
+                let expected = full_sort_select(&sel, n, &rows, now);
+                prop_assert_eq!(sel.select(n, &rows, now), expected.clone());
+
+                let eligible = rows.iter().filter(|r| sel.eligible(r)).count();
+                let expected_partial = full_sort_select(&sel, n.min(eligible), &rows, now)
+                    .expect("asks for no more than are eligible");
+                // Ascending, descending and interleaved push orders.
+                let mut interleaved = rows.clone();
+                interleaved.sort_by_key(|r| (r.imei.0 % 7, r.imei));
+                let reversed: Vec<CandidateRow> = rows.iter().rev().copied().collect();
+                for order in [&rows, &reversed, &interleaved] {
+                    let mut fold = sel.fold(n, now);
+                    for row in order {
+                        fold.push(row);
+                    }
+                    prop_assert_eq!(fold.qualified(), rows.len());
+                    prop_assert_eq!(fold.eligible(), eligible);
+                    prop_assert_eq!(fold.select(), expected.clone());
+                    prop_assert_eq!(fold.select_partial(), expected_partial.clone());
+                    prop_assert_eq!(fold.would_select(), eligible >= n);
+                    prop_assert_eq!(fold.would_select_partial(), eligible > 0);
+                }
             }
         }
     }

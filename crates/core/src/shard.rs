@@ -98,16 +98,10 @@ impl Shard {
         self.index.candidates_into(probe, out);
     }
 
-    /// Appends this shard's qualified candidates to `out` in whatever
-    /// order the index walks them — same rows as
-    /// [`candidates_into`](Self::candidates_into), no ordering cost. Only
-    /// sound for order-insensitive selection policies.
-    pub fn candidates_unordered_into(
-        &self,
-        probe: &QualificationProbe,
-        out: &mut Vec<CandidateRow>,
-    ) {
-        self.index.candidates_unordered_into(probe, out);
+    /// Calls `f` once per qualified candidate on this shard, in the
+    /// index's walk order.
+    pub fn for_each_candidate(&self, probe: &QualificationProbe, f: &mut dyn FnMut(&CandidateRow)) {
+        self.index.for_each_candidate(probe, f);
     }
 
     pub fn qualified_count(&self, probe: &QualificationProbe) -> usize {

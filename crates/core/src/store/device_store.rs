@@ -233,46 +233,9 @@ impl DeviceStore {
         Ok(())
     }
 
-    /// The qualified candidate records for `probe` (paper §3 definition):
-    /// signed up, inside the region, carrying the sensor, matching any
-    /// device-type restriction, responsive, and submitting valid data.
-    /// Ascending by IMEI hash (the grid query sorts its output).
-    #[deprecated(
-        since = "0.6.0",
-        note = "allocates a Vec of record pointers per call; hot paths use \
-                `candidates_into` (kept as a compat wrapper for tests)"
-    )]
-    pub fn candidates(&self, probe: &QualificationProbe) -> Vec<&DeviceRecord> {
-        // The grid narrows the scan to devices inside the circle; the
-        // remaining predicates filter on the record. The visitor walk
-        // yields bucket order, so sort to keep the documented contract.
-        let mut out: Vec<&DeviceRecord> = Vec::new();
-        self.index.for_each_in_circle(&probe.region, |imei| {
-            if let Some(r) = self.records.get(&imei) {
-                if Self::record_qualifies(r, probe) {
-                    out.push(r);
-                }
-            }
-        });
-        out.sort_unstable_by_key(|r| r.imei);
-        out
-    }
-
-    /// Appends the qualified candidate rows for `probe` to `out`,
-    /// ascending by IMEI hash — the allocation-free qualification path.
-    pub fn candidates_into(&self, probe: &QualificationProbe, out: &mut Vec<CandidateRow>) {
-        let start = out.len();
-        self.index.for_each_in_circle(&probe.region, |imei| {
-            if let Some(r) = self.records.get(&imei) {
-                if Self::record_qualifies(r, probe) {
-                    out.push(r.row());
-                }
-            }
-        });
-        out[start..].sort_unstable_by_key(|r| r.imei);
-    }
-
-    /// Whether one record passes `probe`'s non-spatial predicates.
+    /// Whether one record passes `probe`'s non-spatial predicates (paper
+    /// §3 definition): carrying the sensor, matching any device-type
+    /// restriction, responsive, and submitting valid data.
     fn record_qualifies(rec: &DeviceRecord, probe: &QualificationProbe) -> bool {
         rec.responsive
             && rec.data_valid
@@ -281,24 +244,6 @@ impl DeviceStore {
                 .device_type
                 .as_deref()
                 .is_none_or(|t| rec.device_type == t)
-    }
-
-    /// How many devices qualify for `probe`, without materialising the
-    /// candidate list: the grid walk visits only the buckets the circle
-    /// touches and nothing is collected or sorted. This is the
-    /// monitoring-path (Fig 7) and wait-queue-recheck fast path.
-    pub fn qualified_count(&self, probe: &QualificationProbe) -> usize {
-        let mut n = 0;
-        self.index.for_each_in_circle(&probe.region, |imei| {
-            if self
-                .records
-                .get(&imei)
-                .is_some_and(|r| Self::record_qualifies(r, probe))
-            {
-                n += 1;
-            }
-        });
-        n
     }
 
     /// The devices *qualified* for `request`, by IMEI hash.
@@ -432,12 +377,16 @@ impl DeviceIndex for DeviceStore {
         true
     }
 
-    fn candidates_into(&self, probe: &QualificationProbe, out: &mut Vec<CandidateRow>) {
-        DeviceStore::candidates_into(self, probe, out);
-    }
-
-    fn qualified_count(&self, probe: &QualificationProbe) -> usize {
-        DeviceStore::qualified_count(self, probe)
+    fn for_each_candidate(&self, probe: &QualificationProbe, f: &mut dyn FnMut(&CandidateRow)) {
+        // The grid narrows the scan to devices inside the circle; the
+        // remaining predicates filter on the record.
+        self.index.for_each_in_circle(&probe.region, |imei| {
+            if let Some(r) = self.records.get(&imei) {
+                if Self::record_qualifies(r, probe) {
+                    f(&r.row());
+                }
+            }
+        });
     }
 
     fn snapshot_records(&self) -> Vec<DeviceRecord> {
@@ -490,7 +439,6 @@ pub fn new_record(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the compat wrappers stay test-covered
 mod tests {
     use super::*;
     use crate::request::RequestId;

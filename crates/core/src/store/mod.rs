@@ -3,14 +3,15 @@
 //!
 //! The control plane stores devices behind the [`DeviceIndex`] trait so a
 //! shard can run over any storage that answers the qualification question.
-//! [`SoaDeviceStore`](soa_store::SoaDeviceStore) — parallel columns keyed
-//! by dense slot ids — is the default implementation;
+//! [`SoaDeviceStore`](soa_store::SoaDeviceStore) — columns and one hot row
+//! per device, keyed by dense slot ids — is the default implementation;
 //! [`DeviceStore`](device_store::DeviceStore), a B-tree of whole records,
 //! is kept as the reference the SoA layout is byte-compared against.
 //!
-//! Selection never walks records: qualification copies the handful of
-//! fields the selector scores into flat [`CandidateRow`]s, so the hot loop
-//! reads a dense array instead of chasing a pointer per device.
+//! Selection never walks records: qualification hands the selector the
+//! handful of fields it scores as flat [`CandidateRow`]s, one at a time,
+//! so the hot loop reads one 64-byte row per candidate instead of chasing
+//! a pointer per device.
 
 pub mod device_store;
 pub mod soa_store;
@@ -68,8 +69,8 @@ impl QualificationProbe {
 /// scores (paper §4 cost function) plus the identity used for tie-breaks
 /// and output.
 ///
-/// `Copy` and pointer-free by design: the selection hot loop iterates a
-/// contiguous `Vec<CandidateRow>` that qualification fills in place, so
+/// `Copy`, pointer-free and 64 bytes: the store's walk builds each row
+/// from one hot row and hands it straight to the selector's fold, so
 /// scoring 10⁵ devices touches dense memory instead of a `&DeviceRecord`
 /// per element. Rows are snapshots — they do not observe later mutations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,9 +104,10 @@ impl CandidateRow {
 /// Pluggable device storage for one control-plane shard.
 ///
 /// Implementations own the records of the devices homed on their shard and
-/// answer qualification probes over them. `candidates_into` must append
-/// rows in ascending IMEI-hash order so that merging across shards is
-/// deterministic for any shard count.
+/// answer qualification probes over them through one walk,
+/// [`for_each_candidate`](Self::for_each_candidate); `candidates_into`
+/// appends rows in ascending IMEI-hash order so that merging across shards
+/// is deterministic for any shard count.
 ///
 /// Mutation goes through narrow, named operations (the exact state
 /// transitions the coordinator performs) rather than a `&mut DeviceRecord`
@@ -182,33 +184,28 @@ pub trait DeviceIndex: fmt::Debug + Send + Sync {
     /// Returns `false` if unknown.
     fn set_data_valid(&mut self, imei: ImeiHash, valid: bool) -> bool;
 
-    /// Appends the qualified candidate rows for `probe` to `out`,
-    /// ascending by IMEI hash: responsive, data-valid devices inside the
-    /// region that carry the sensor and match any device-type restriction.
-    /// Appending to a caller-owned buffer keeps the per-wakeup hot path
-    /// allocation-free once the buffer has grown to steady state.
-    fn candidates_into(&self, probe: &QualificationProbe, out: &mut Vec<CandidateRow>);
+    /// Calls `f` once per qualified candidate for `probe`, in whatever
+    /// order the index walks them: responsive, data-valid devices inside
+    /// the region that carry the sensor and match any device-type
+    /// restriction. The one walk every qualification query is built on;
+    /// it allocates nothing, and the row handed to `f` lives only for the
+    /// call.
+    fn for_each_candidate(&self, probe: &QualificationProbe, f: &mut dyn FnMut(&CandidateRow));
 
-    /// Appends the qualified candidate rows for `probe` to `out` in
-    /// whatever order the index walks them — no IMEI sort. Callers that
-    /// treat the rows order-insensitively (see
-    /// [`SelectionPolicy::candidate_order_insensitive`]) use this to skip
-    /// the per-probe sort [`candidates_into`](Self::candidates_into) pays
-    /// for. The default delegates to the ordered walk, which is always
-    /// correct; implementations whose natural walk order is cheaper than
-    /// sorted order should override it.
-    ///
-    /// [`SelectionPolicy::candidate_order_insensitive`]:
-    ///     crate::SelectionPolicy::candidate_order_insensitive
-    fn candidates_unordered_into(&self, probe: &QualificationProbe, out: &mut Vec<CandidateRow>) {
-        self.candidates_into(probe, out);
+    /// Appends the qualified candidate rows for `probe` to `out`,
+    /// ascending by IMEI hash — the canonical slice order-sensitive
+    /// consumers see, identical for any shard layout.
+    fn candidates_into(&self, probe: &QualificationProbe, out: &mut Vec<CandidateRow>) {
+        let start = out.len();
+        self.for_each_candidate(probe, &mut |row| out.push(*row));
+        out[start..].sort_unstable_by_key(|r| r.imei);
     }
 
     /// How many devices qualify for `probe`.
     fn qualified_count(&self, probe: &QualificationProbe) -> usize {
-        let mut out = Vec::new();
-        self.candidates_unordered_into(probe, &mut out);
-        out.len()
+        let mut n = 0;
+        self.for_each_candidate(probe, &mut |_| n += 1);
+        n
     }
 
     /// Every record held, cloned, in ascending IMEI order — the crash

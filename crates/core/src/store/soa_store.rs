@@ -7,15 +7,18 @@
 //! with the handful of hot ones. At the paper's §8 city scale (10⁶
 //! devices) that layout is cache-hostile.
 //!
-//! [`SoaDeviceStore`] stores the same facts as parallel columns indexed by
-//! a dense [`DeviceSlot`]:
+//! [`SoaDeviceStore`] stores the same facts indexed by a dense
+//! [`DeviceSlot`], laid out for the two reads of a qualification probe:
 //!
-//! * hot numeric columns (battery, budget, spent energy, selection count,
-//!   last-comm) are flat `Vec`s the qualification filter streams through;
-//! * the sensor list collapses to a 10-bit mask and the device-type string
-//!   to an interned id, so the qualification predicate is pure integer
-//!   compares — the original list and string are kept as cold columns for
-//!   snapshot fidelity;
+//! * the filter — flags, a 10-bit sensor mask, an interned device-type id
+//!   — stays columnar: it is read for *every* point inside the circle and
+//!   is 7 bytes per device, so a walk streams through a few lines of it;
+//! * the eight fields a candidate is scored on sit together in one
+//!   64-byte [`HotRow`]: they are read only for points that pass the
+//!   filter, and then all at once, so a candidate costs one contiguous
+//!   cache line's worth of memory instead of eight scattered lines;
+//! * the original sensor list and type string are kept as cold columns
+//!   for snapshot fidelity;
 //! * a `BTreeMap<ImeiHash, DeviceSlot>` gives stable identity → slot
 //!   lookup, and a free list recycles slots across deregister/re-register
 //!   churn so the columns stay dense;
@@ -65,18 +68,59 @@ fn sensor_mask(sensors: &[Sensor]) -> u16 {
     sensors.iter().fold(0, |mask, s| mask | sensor_bit(*s))
 }
 
+/// Everything a candidate is scored on: 64 contiguous bytes.
+///
+/// Deliberately not `align(64)`: an over-aligned `Vec` cannot grow in
+/// place (every doubling is allocate + copy + free), which left 48 MiB
+/// more resident at a million devices (`ext_million_resident` 177 → 225
+/// MiB) for no measurable gain on `live_task_push` or `core_million` — a
+/// row that straddles two adjacent lines is fetched as a pair anyway.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct HotRow {
+    imei: ImeiHash,
+    energy_budget_j: f64,
+    critical_battery_pct: f64,
+    cs_energy_j: f64,
+    battery_pct: f64,
+    reliability: f64,
+    times_selected: u64,
+    last_comm: SimTime,
+}
+
+const _: () = assert!(std::mem::size_of::<HotRow>() == 64);
+
+impl HotRow {
+    const EMPTY: HotRow = HotRow {
+        imei: ImeiHash(0),
+        energy_budget_j: 0.0,
+        critical_battery_pct: 0.0,
+        cs_energy_j: 0.0,
+        battery_pct: 0.0,
+        reliability: 0.0,
+        times_selected: 0,
+        last_comm: SimTime::ZERO,
+    };
+
+    fn candidate(&self) -> CandidateRow {
+        CandidateRow {
+            imei: self.imei,
+            battery_pct: self.battery_pct,
+            critical_battery_pct: self.critical_battery_pct,
+            remaining_budget_j: (self.energy_budget_j - self.cs_energy_j).max(0.0),
+            cs_energy_j: self.cs_energy_j,
+            times_selected: self.times_selected,
+            last_comm: self.last_comm,
+            reliability: self.reliability,
+        }
+    }
+}
+
 /// The struct-of-arrays registry of participating devices.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SoaDeviceStore {
-    // Hot columns, indexed by slot.
-    imei: Vec<ImeiHash>,
-    energy_budget_j: Vec<f64>,
-    critical_battery_pct: Vec<f64>,
-    cs_energy_j: Vec<f64>,
-    battery_pct: Vec<f64>,
-    reliability: Vec<f64>,
-    times_selected: Vec<u64>,
-    last_comm: Vec<SimTime>,
+    // The scored fields, one row per slot.
+    hot: Vec<HotRow>,
+    // The qualification filter, columnar, indexed by slot.
     flags: Vec<u8>,
     sensor_mask: Vec<u16>,
     type_id: Vec<u32>,
@@ -113,14 +157,7 @@ impl SoaDeviceStore {
     /// An empty store.
     pub fn new() -> Self {
         SoaDeviceStore {
-            imei: Vec::new(),
-            energy_budget_j: Vec::new(),
-            critical_battery_pct: Vec::new(),
-            cs_energy_j: Vec::new(),
-            battery_pct: Vec::new(),
-            reliability: Vec::new(),
-            times_selected: Vec::new(),
-            last_comm: Vec::new(),
+            hot: Vec::new(),
             flags: Vec::new(),
             sensor_mask: Vec::new(),
             type_id: Vec::new(),
@@ -153,7 +190,7 @@ impl SoaDeviceStore {
     /// Total slots ever allocated (live + free) — capacity telemetry for
     /// the memory cells.
     pub fn slot_capacity(&self) -> usize {
-        self.imei.len()
+        self.hot.len()
     }
 
     fn intern_type(&mut self, name: &str) -> u32 {
@@ -172,15 +209,8 @@ impl SoaDeviceStore {
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
-                let slot = DeviceSlot(self.imei.len() as u32);
-                self.imei.push(ImeiHash(0));
-                self.energy_budget_j.push(0.0);
-                self.critical_battery_pct.push(0.0);
-                self.cs_energy_j.push(0.0);
-                self.battery_pct.push(0.0);
-                self.reliability.push(0.0);
-                self.times_selected.push(0);
-                self.last_comm.push(SimTime::ZERO);
+                let slot = DeviceSlot(self.hot.len() as u32);
+                self.hot.push(HotRow::EMPTY);
                 self.flags.push(0);
                 self.sensor_mask.push(0);
                 self.type_id.push(0);
@@ -198,14 +228,16 @@ impl SoaDeviceStore {
     /// Overwrites every column of `slot` from `record` and syncs the grid.
     fn write(&mut self, slot: DeviceSlot, record: DeviceRecord) {
         let i = slot.0 as usize;
-        self.imei[i] = record.imei;
-        self.energy_budget_j[i] = record.energy_budget_j;
-        self.critical_battery_pct[i] = record.critical_battery_pct;
-        self.cs_energy_j[i] = record.cs_energy_j;
-        self.battery_pct[i] = record.battery_pct;
-        self.reliability[i] = record.reliability;
-        self.times_selected[i] = record.times_selected;
-        self.last_comm[i] = record.last_comm;
+        self.hot[i] = HotRow {
+            imei: record.imei,
+            energy_budget_j: record.energy_budget_j,
+            critical_battery_pct: record.critical_battery_pct,
+            cs_energy_j: record.cs_energy_j,
+            battery_pct: record.battery_pct,
+            reliability: record.reliability,
+            times_selected: record.times_selected,
+            last_comm: record.last_comm,
+        };
         self.flags[i] = LIVE
             | if record.responsive { RESPONSIVE } else { 0 }
             | if record.data_valid { DATA_VALID } else { 0 };
@@ -225,45 +257,48 @@ impl SoaDeviceStore {
     /// Materialises the full record stored at `slot` (cold path).
     fn materialise(&self, slot: DeviceSlot) -> DeviceRecord {
         let i = slot.0 as usize;
+        let hot = &self.hot[i];
         DeviceRecord {
-            imei: self.imei[i],
-            energy_budget_j: self.energy_budget_j[i],
-            critical_battery_pct: self.critical_battery_pct[i],
-            cs_energy_j: self.cs_energy_j[i],
-            battery_pct: self.battery_pct[i],
-            times_selected: self.times_selected[i],
-            last_comm: self.last_comm[i],
+            imei: hot.imei,
+            energy_budget_j: hot.energy_budget_j,
+            critical_battery_pct: hot.critical_battery_pct,
+            cs_energy_j: hot.cs_energy_j,
+            battery_pct: hot.battery_pct,
+            times_selected: hot.times_selected,
+            last_comm: hot.last_comm,
             position: self.position[i],
             cell: self.cell[i],
             sensors: self.sensors[i].clone(),
             device_type: self.type_names[self.type_id[i] as usize].clone(),
             responsive: self.flags[i] & RESPONSIVE != 0,
             data_valid: self.flags[i] & DATA_VALID != 0,
-            reliability: self.reliability[i],
+            reliability: hot.reliability,
         }
     }
 
-    fn row_at(&self, i: usize) -> CandidateRow {
-        CandidateRow {
-            imei: self.imei[i],
-            battery_pct: self.battery_pct[i],
-            critical_battery_pct: self.critical_battery_pct[i],
-            remaining_budget_j: (self.energy_budget_j[i] - self.cs_energy_j[i]).max(0.0),
-            cs_energy_j: self.cs_energy_j[i],
-            times_selected: self.times_selected[i],
-            last_comm: self.last_comm[i],
-            reliability: self.reliability[i],
-        }
-    }
-
-    /// Resolves the probe's device-type restriction against the interner:
-    /// `None` — unrestricted; `Some(None)` — restriction names a type no
-    /// registered device has ever carried, nothing can match.
-    fn probe_type(&self, probe: &QualificationProbe) -> Option<Option<u32>> {
-        probe
-            .device_type
-            .as_deref()
-            .map(|t| self.type_ids.get(t).copied())
+    /// The qualification predicate, written once: calls `f` with the slot
+    /// index of every live, responsive, data-valid device inside the
+    /// probe's region that carries its sensor and matches any device-type
+    /// restriction. Reads only the filter columns.
+    fn for_each_qualified(&self, probe: &QualificationProbe, mut f: impl FnMut(usize)) {
+        let want_type = match probe.device_type.as_deref() {
+            None => None,
+            Some(name) => match self.type_ids.get(name) {
+                Some(id) => Some(*id),
+                // No registered device has ever carried this type.
+                None => return,
+            },
+        };
+        let sbit = sensor_bit(probe.sensor);
+        self.grid.for_each_in_circle(&probe.region, |slot| {
+            let i = slot.0 as usize;
+            if self.flags[i] & QUALIFIES == QUALIFIES
+                && self.sensor_mask[i] & sbit != 0
+                && want_type.is_none_or(|t| self.type_id[i] == t)
+            {
+                f(i);
+            }
+        });
     }
 }
 
@@ -326,13 +361,14 @@ impl DeviceIndex for SoaDeviceStore {
         };
         self.mark(record.imei);
         let i = slot.0 as usize;
-        self.energy_budget_j[i] = record.energy_budget_j;
-        self.critical_battery_pct[i] = record.critical_battery_pct;
-        self.battery_pct[i] = record.battery_pct;
+        let hot = &mut self.hot[i];
+        hot.energy_budget_j = record.energy_budget_j;
+        hot.critical_battery_pct = record.critical_battery_pct;
+        hot.battery_pct = record.battery_pct;
+        hot.last_comm = record.last_comm;
         self.sensor_mask[i] = sensor_mask(&record.sensors);
         self.sensors[i] = record.sensors.clone();
         self.type_id[i] = self.intern_type(&record.device_type);
-        self.last_comm[i] = record.last_comm;
         self.flags[i] |= RESPONSIVE;
         true
     }
@@ -347,9 +383,9 @@ impl DeviceIndex for SoaDeviceStore {
             return false;
         };
         self.mark(imei);
-        let i = slot.0 as usize;
-        self.energy_budget_j[i] = energy_budget_j;
-        self.critical_battery_pct[i] = critical_battery_pct;
+        let hot = &mut self.hot[slot.0 as usize];
+        hot.energy_budget_j = energy_budget_j;
+        hot.critical_battery_pct = critical_battery_pct;
         true
     }
 
@@ -365,9 +401,10 @@ impl DeviceIndex for SoaDeviceStore {
         };
         self.mark(imei);
         let i = slot.0 as usize;
-        self.battery_pct[i] = battery_pct;
-        self.cs_energy_j[i] = cs_energy_j;
-        self.last_comm[i] = now;
+        let hot = &mut self.hot[i];
+        hot.battery_pct = battery_pct;
+        hot.cs_energy_j = cs_energy_j;
+        hot.last_comm = now;
         self.flags[i] |= RESPONSIVE;
         true
     }
@@ -378,7 +415,7 @@ impl DeviceIndex for SoaDeviceStore {
         };
         self.mark(imei);
         let i = slot.0 as usize;
-        self.last_comm[i] = now;
+        self.hot[i].last_comm = now;
         self.flags[i] |= RESPONSIVE;
         true
     }
@@ -388,7 +425,7 @@ impl DeviceIndex for SoaDeviceStore {
             return false;
         };
         self.mark(imei);
-        self.times_selected[slot.0 as usize] += 1;
+        self.hot[slot.0 as usize].times_selected += 1;
         true
     }
 
@@ -420,64 +457,23 @@ impl DeviceIndex for SoaDeviceStore {
         true
     }
 
-    fn candidates_into(&self, probe: &QualificationProbe, out: &mut Vec<CandidateRow>) {
-        let want_type = match self.probe_type(probe) {
-            Some(None) => return, // unknown type name: nothing matches
-            Some(Some(id)) => Some(id),
-            None => None,
-        };
-        let sbit = sensor_bit(probe.sensor);
-        let start = out.len();
-        self.grid.for_each_in_circle(&probe.region, |slot| {
-            let i = slot.0 as usize;
-            if self.flags[i] & QUALIFIES == QUALIFIES
-                && self.sensor_mask[i] & sbit != 0
-                && want_type.is_none_or(|t| self.type_id[i] == t)
-            {
-                out.push(self.row_at(i));
-            }
-        });
-        out[start..].sort_unstable_by_key(|r| r.imei);
+    fn for_each_candidate(&self, probe: &QualificationProbe, f: &mut dyn FnMut(&CandidateRow)) {
+        self.for_each_qualified(probe, |i| f(&self.hot[i].candidate()));
     }
 
-    fn candidates_unordered_into(&self, probe: &QualificationProbe, out: &mut Vec<CandidateRow>) {
-        // Grid-walk order, no IMEI sort: the parallel poll pipeline calls
-        // this for order-insensitive policies, where the sort was the
-        // dominant per-gather cost at scale.
-        let want_type = match self.probe_type(probe) {
-            Some(None) => return,
-            Some(Some(id)) => Some(id),
-            None => None,
-        };
-        let sbit = sensor_bit(probe.sensor);
-        self.grid.for_each_in_circle(&probe.region, |slot| {
-            let i = slot.0 as usize;
-            if self.flags[i] & QUALIFIES == QUALIFIES
-                && self.sensor_mask[i] & sbit != 0
-                && want_type.is_none_or(|t| self.type_id[i] == t)
-            {
-                out.push(self.row_at(i));
-            }
-        });
+    fn candidates_into(&self, probe: &QualificationProbe, out: &mut Vec<CandidateRow>) {
+        // Order 16-byte keys, then materialise each row once, in place —
+        // sorting the 64-byte rows themselves moves four times the bytes.
+        let mut keys: Vec<(ImeiHash, u32)> = Vec::new();
+        self.for_each_qualified(probe, |i| keys.push((self.hot[i].imei, i as u32)));
+        keys.sort_unstable();
+        out.extend(keys.iter().map(|&(_, i)| self.hot[i as usize].candidate()));
     }
 
     fn qualified_count(&self, probe: &QualificationProbe) -> usize {
-        let want_type = match self.probe_type(probe) {
-            Some(None) => return 0,
-            Some(Some(id)) => Some(id),
-            None => None,
-        };
-        let sbit = sensor_bit(probe.sensor);
+        // Counting never needs the hot rows.
         let mut n = 0;
-        self.grid.for_each_in_circle(&probe.region, |slot| {
-            let i = slot.0 as usize;
-            if self.flags[i] & QUALIFIES == QUALIFIES
-                && self.sensor_mask[i] & sbit != 0
-                && want_type.is_none_or(|t| self.type_id[i] == t)
-            {
-                n += 1;
-            }
-        });
+        self.for_each_qualified(probe, |_| n += 1);
         n
     }
 
@@ -531,6 +527,14 @@ mod tests {
         QualificationProbe::new(Sensor::Barometer, CircleRegion::new(centre(), radius))
     }
 
+    /// The rows `for_each_candidate` yields, put in IMEI order.
+    fn walked(store: &dyn DeviceIndex, probe: &QualificationProbe) -> Vec<CandidateRow> {
+        let mut rows = Vec::new();
+        store.for_each_candidate(probe, &mut |row| rows.push(*row));
+        rows.sort_unstable_by_key(|r| r.imei);
+        rows
+    }
+
     /// Drives the SoA store and the reference store through the same
     /// mixed history and checks every observable agrees.
     #[test]
@@ -577,12 +581,8 @@ mod tests {
             soa.candidates_into(&p, &mut soa_rows);
             aos_index.candidates_into(&p, &mut aos_rows);
             assert_eq!(soa_rows, aos_rows, "radius {radius}");
-            // The unordered walk must cover the same set (sorted it is the
-            // same slice).
-            let mut unordered = Vec::new();
-            soa.candidates_unordered_into(&p, &mut unordered);
-            unordered.sort_unstable_by_key(|r| r.imei);
-            assert_eq!(unordered, soa_rows, "radius {radius} (unordered)");
+            // The walk covers the same set (sorted it is the same slice).
+            assert_eq!(walked(&soa, &p), soa_rows, "radius {radius} (walk)");
             assert_eq!(soa.qualified_count(&p), aos_index.qualified_count(&p));
         }
         for id in 1..=40u64 {
@@ -642,5 +642,107 @@ mod tests {
         assert!(rows.is_empty());
         p.device_type = Some("GalaxyS4".to_owned());
         assert_eq!(store.qualified_count(&p), 1);
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step of a random history, applied to both stores.
+        fn apply(store: &mut dyn DeviceIndex, (op, id, a, b): (u32, u64, f64, f64)) {
+            let imei = ImeiHash(id);
+            match op {
+                0 | 1 => {
+                    let mut r = record(id);
+                    if a < 0.0 {
+                        r.sensors = vec![Sensor::Accelerometer];
+                    }
+                    if b < -0.5 {
+                        r.device_type = "iPhone6".to_owned();
+                    }
+                    r.battery_pct = 50.0 + 50.0 * a.abs();
+                    store.insert(r);
+                }
+                2..=4 => {
+                    store.observe(
+                        imei,
+                        centre().offset_by_meters(a * 900.0, b * 900.0),
+                        Some(senseaid_cellnet::CellId(id as usize % 3)),
+                    );
+                }
+                5 => {
+                    store.update_state(
+                        imei,
+                        100.0 * a.abs(),
+                        400.0 * b.abs(),
+                        SimTime::from_secs(id),
+                    );
+                }
+                6 => {
+                    store.set_responsive(imei, a > 0.0);
+                    store.set_data_valid(imei, b > -0.8);
+                }
+                7 => {
+                    store.bump_selected(imei);
+                    store.record_comm(imei, SimTime::from_secs(id + 7));
+                }
+                8 => {
+                    store.update_preferences(imei, 600.0 * a.abs(), 40.0 * b.abs());
+                }
+                9 => {
+                    let mut r = record(id);
+                    r.battery_pct = 100.0 * b.abs();
+                    r.last_comm = SimTime::from_secs(id + 11);
+                    store.refresh_registration(&r);
+                }
+                _ => {
+                    store.remove(imei);
+                }
+            }
+        }
+
+        proptest! {
+            /// Any history leaves the SoA store and the reference store
+            /// answering every probe identically — through the walk, the
+            /// ordered slice and the count.
+            #[test]
+            fn soa_and_reference_answer_every_probe_alike(
+                history in prop::collection::vec(
+                    (0u32..11, 1u64..25, -1.0f64..1.0, -1.0f64..1.0),
+                    0..120,
+                ),
+                radius in 50.0f64..1500.0,
+                q_north in -600.0f64..600.0,
+                q_east in -600.0f64..600.0,
+                restrict in 0u32..3,
+            ) {
+                let mut soa = SoaDeviceStore::new();
+                let mut aos = DeviceStore::new();
+                for step in &history {
+                    apply(&mut soa, *step);
+                    apply(&mut aos, *step);
+                }
+                prop_assert_eq!(soa.snapshot_records(), aos.snapshot_records());
+                let mut p = QualificationProbe::new(
+                    Sensor::Barometer,
+                    CircleRegion::new(centre().offset_by_meters(q_north, q_east), radius),
+                );
+                p.device_type = match restrict {
+                    0 => None,
+                    1 => Some("iPhone6".to_owned()),
+                    _ => Some("NeverRegistered".to_owned()),
+                };
+                let aos: &dyn DeviceIndex = &aos;
+                let (mut soa_rows, mut aos_rows) = (Vec::new(), Vec::new());
+                soa.candidates_into(&p, &mut soa_rows);
+                aos.candidates_into(&p, &mut aos_rows);
+                prop_assert_eq!(&soa_rows, &aos_rows);
+                prop_assert!(soa_rows.windows(2).all(|w| w[0].imei < w[1].imei));
+                prop_assert_eq!(walked(&soa, &p), soa_rows.clone());
+                prop_assert_eq!(walked(aos, &p), aos_rows);
+                prop_assert_eq!(soa.qualified_count(&p), soa_rows.len());
+                prop_assert_eq!(aos.qualified_count(&p), soa_rows.len());
+            }
+        }
     }
 }

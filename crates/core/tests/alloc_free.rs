@@ -1,17 +1,22 @@
-//! Proof that the request→shard fan-out path is allocation-free.
+//! Proof that the request→shard fan-out path is allocation-free, and that
+//! the task path allocates nothing *per candidate*.
 //!
-//! The `fanout_qualified_count` perf cell times this path; the property
-//! itself — no heap traffic anywhere in `qualified_count`, from the
-//! probe through the target-shard bitset and the per-shard grid-walk
+//! The `fanout_qualified_count` perf cell times the first path; the
+//! property itself — no heap traffic anywhere in `qualified_count`, from
+//! the probe through the target-shard bitset and the per-shard grid-walk
 //! counters — is asserted here with a counting global allocator, so a
 //! regression (say, a collected `Vec<usize>` of target shards sneaking
-//! back in) fails loudly rather than showing up as a perf drift.
+//! back in) fails loudly rather than showing up as a perf drift. The
+//! second property is what the gather→select fold bought: a `poll` that
+//! assigns one request allocates the same number of times whether 100 or
+//! 5 000 devices qualify.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use senseaid_cellnet::CellularNetwork;
-use senseaid_core::{SenseAidConfig, SenseAidServer};
+use senseaid_core::{SenseAidConfig, SenseAidServer, TaskSpec};
 use senseaid_device::{ImeiHash, Sensor};
 use senseaid_geo::{CircleRegion, GeoPoint, TowerSite};
 use senseaid_sim::SimTime;
@@ -46,6 +51,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide, so the tests take turns.
+static TURN: Mutex<()> = Mutex::new(());
+
 fn centre() -> GeoPoint {
     GeoPoint::new(40.4284, -86.9138)
 }
@@ -71,6 +79,7 @@ fn grid_network() -> CellularNetwork {
 
 #[test]
 fn qualified_count_fanout_allocates_nothing() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let mut server = SenseAidServer::new(SenseAidConfig {
         shard_count: 8,
         ..SenseAidConfig::default()
@@ -129,5 +138,66 @@ fn qualified_count_fanout_allocates_nothing() {
         after - before,
         0,
         "qualified_count fan-out allocated on the warm path"
+    );
+}
+
+/// Allocations made by one `poll` that assigns one due request over
+/// `devices` qualified candidates.
+fn allocations_of_one_assigning_poll(devices: u64) -> u64 {
+    let mut server = SenseAidServer::new(SenseAidConfig {
+        shard_workers: Some(1),
+        ..SenseAidConfig::default()
+    });
+    for i in 1..=devices {
+        server
+            .register_device(
+                ImeiHash(i),
+                495.0,
+                15.0,
+                80.0,
+                vec![Sensor::Barometer],
+                "GalaxyS4".to_owned(),
+                SimTime::ZERO,
+            )
+            .expect("registration");
+        // A 280 m square inside the 300 m circle, a few fine cells wide.
+        let p = centre().offset_by_meters(
+            ((i * 37) % 280) as f64 - 140.0,
+            ((i * 53) % 280) as f64 - 140.0,
+        );
+        server
+            .observe_device(ImeiHash(i), p, None)
+            .expect("observe");
+    }
+    let region = CircleRegion::new(centre(), 300.0);
+    assert_eq!(
+        server.qualified_count(Sensor::Barometer, region),
+        devices as usize
+    );
+    let spec = TaskSpec::builder(Sensor::Barometer)
+        .region(region)
+        .spatial_density(3)
+        .one_shot()
+        .build()
+        .expect("one-shot spec");
+    let now = SimTime::from_mins(1);
+    server.submit_task(spec, now).expect("task");
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let assignments = server.poll(now).expect("poll");
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(assignments.len(), 1, "exactly one request was due");
+    assert_eq!(assignments[0].devices.len(), 3);
+    after - before
+}
+
+#[test]
+fn an_assigning_poll_allocates_nothing_per_candidate() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let few = allocations_of_one_assigning_poll(100);
+    let many = allocations_of_one_assigning_poll(5_000);
+    assert_eq!(
+        few, many,
+        "poll allocated {few} times over 100 candidates but {many} over 5 000: \
+         a candidate or eligible vector is back on the scored path"
     );
 }

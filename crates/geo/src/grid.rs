@@ -13,7 +13,9 @@
 //! * a coarse or fine cell *provably inside* the circle is emitted whole,
 //!   without per-point distance checks (the bound is conservative, so the
 //!   answer is always byte-identical to a brute-force scan);
-//! * only boundary cells pay the per-point `contains` filter.
+//! * points of boundary cells go through a per-query [`CircleTest`] that
+//!   decides almost all of them from two quadratic bounds and calls the
+//!   exact (trigonometric) `contains` only in the sliver between them.
 //!
 //! Positions are stored inline with their keys in the fine buckets, so the
 //! hot query path never chases a side map.
@@ -25,8 +27,24 @@ use serde::{Deserialize, Serialize};
 use crate::point::{GeoPoint, EARTH_RADIUS_M};
 use crate::region::CircleRegion;
 
-/// Metres per degree of latitude (WGS-84 mean).
-const M_PER_DEG_LAT: f64 = 111_320.0;
+/// Nominal metres per degree that turns `cell_m` into the fine-cell edge.
+/// It only sizes cells, and is frozen: changing it would re-bucket every
+/// stored position. Everything that must agree with the metric — the
+/// bounding box and the circle test — uses [`M_PER_DEG`].
+const CELL_M_PER_DEG: f64 = 111_320.0;
+
+/// Metres per degree of latitude under the workspace metric
+/// ([`GeoPoint::distance_to`]).
+const M_PER_DEG: f64 = EARTH_RADIUS_M * std::f64::consts::PI / 180.0;
+
+/// Relative slack on every squared-distance threshold and on the bounding
+/// box: nine orders of magnitude above `f64` rounding, so a bound that
+/// holds with the slack holds for the values `contains` computes.
+const SLACK: f64 = 1e-9;
+
+/// Absolute slack on the cosine bounds, covering the rounding of a
+/// latitude to its cell row and of `cos` itself at any latitude.
+const COS_SLACK: f64 = 1e-12;
 
 /// Fine cells per coarse-cell edge. 16×16 fine cells per coarse cell puts
 /// a 250 m fine grid under ~4 km coarse cells — one coarse lookup skips a
@@ -48,6 +66,45 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> Default for CoarseCell<K> {
         CoarseCell {
             total: 0,
             fine: BTreeMap::new(),
+        }
+    }
+}
+
+/// One query's circle-membership test, trig-free for almost every point.
+///
+/// `contains` computes `Δlon²·cos²(mean_lat) + Δlat² ≤ (r/R)²` with a
+/// `cos` per point. Every point the walk filters lies in the query's
+/// latitude rows, so its `mean_lat` lies in a band known up front and
+/// `cos(mean_lat)` between the band's extremes `cos_lo ≤ cos_hi`. Then
+///
+/// * `Δlon²·cos²_hi + Δlat² ≤ (r/R)²·(1 − SLACK)` ⇒ inside, and
+/// * `Δlon²·cos²_lo + Δlat² > (r/R)²·(1 + SLACK)` ⇒ outside,
+///
+/// because the left sides bound the exact quadratic from above and below
+/// and the slack dwarfs rounding. Only points between the two bounds — a
+/// ring centimetres wide at campus scale — fall through to the exact
+/// `contains`, so a decided point can never disagree with it.
+struct CircleTest<'a> {
+    region: &'a CircleRegion,
+    lat_deg: f64,
+    lon_deg: f64,
+    cos2_lo: f64,
+    cos2_hi: f64,
+    inside_below: f64,
+    outside_above: f64,
+}
+
+impl CircleTest<'_> {
+    fn contains(&self, p: GeoPoint) -> bool {
+        let dlon = (p.lon_deg() - self.lon_deg).to_radians();
+        let dlat = (p.lat_deg() - self.lat_deg).to_radians();
+        let (x2, y2) = (dlon * dlon, dlat * dlat);
+        if x2 * self.cos2_hi + y2 <= self.inside_below {
+            true
+        } else if x2 * self.cos2_lo + y2 > self.outside_above {
+            false
+        } else {
+            self.region.contains(p)
         }
     }
 }
@@ -92,7 +149,7 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> GridIndex<K> {
             "cell size {cell_m} must be positive"
         );
         GridIndex {
-            cell_deg: cell_m / M_PER_DEG_LAT,
+            cell_deg: cell_m / CELL_M_PER_DEG,
             coarse: HashMap::new(),
             positions: BTreeMap::new(),
         }
@@ -200,18 +257,48 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> GridIndex<K> {
 
     /// The traversal skeleton behind every circle query: calls `visit`
     /// once per occupied bucket the circle's bounding box touches, with
-    /// `filter = false` when the bucket's cell is provably inside the
-    /// circle (every member matches) and `filter = true` when the caller
-    /// must still apply the per-point `contains` check.
-    fn visit_buckets(&self, region: &CircleRegion, mut visit: impl FnMut(&[(K, GeoPoint)], bool)) {
+    /// `Some(test)` when the caller must still filter the bucket's points
+    /// and `None` when the bucket's cell is provably inside the circle
+    /// (every member matches).
+    ///
+    /// The box is derived from the metric itself, rounded outwards: a
+    /// point inside the circle has `|Δlat| ≤ r/R` and `|Δlon| ≤
+    /// r/(R·cos(mean_lat))`, and `mean_lat` of any point in the box's rows
+    /// lies in the band the cosine bounds are taken over.
+    fn visit_buckets(
+        &self,
+        region: &CircleRegion,
+        mut visit: impl FnMut(&[(K, GeoPoint)], Option<&CircleTest<'_>>),
+    ) {
         let centre = region.centre();
-        let r = region.radius_m();
-        let dlat = r / M_PER_DEG_LAT;
-        let dlon = r / (M_PER_DEG_LAT * centre.lat_deg().to_radians().cos().abs().max(1e-9));
-        let lat_lo = ((centre.lat_deg() - dlat) / self.cell_deg).floor() as i32;
-        let lat_hi = ((centre.lat_deg() + dlat) / self.cell_deg).floor() as i32;
-        let lon_lo = ((centre.lon_deg() - dlon) / self.cell_deg).floor() as i32;
-        let lon_hi = ((centre.lon_deg() + dlon) / self.cell_deg).floor() as i32;
+        let r_deg = region.radius_m() / M_PER_DEG * (1.0 + SLACK);
+        let lat_lo = ((centre.lat_deg() - r_deg) / self.cell_deg).floor() as i32;
+        let lat_hi = ((centre.lat_deg() + r_deg) / self.cell_deg).floor() as i32;
+        // `mean_lat` ranges over the midpoints between the centre and the
+        // outer edges of the visited rows.
+        let band_lo = ((centre.lat_deg() + f64::from(lat_lo) * self.cell_deg) / 2.0).max(-90.0);
+        let band_hi =
+            ((centre.lat_deg() + (f64::from(lat_hi) + 1.0) * self.cell_deg) / 2.0).min(90.0);
+        let (cos_a, cos_b) = (band_lo.to_radians().cos(), band_hi.to_radians().cos());
+        let cos_lo = (cos_a.min(cos_b) - COS_SLACK).max(0.0);
+        let cos_hi = if band_lo <= 0.0 && band_hi >= 0.0 {
+            1.0
+        } else {
+            (cos_a.max(cos_b) + COS_SLACK).min(1.0)
+        };
+        let r_lon_deg = r_deg / cos_lo.max(1e-9);
+        let lon_lo = ((centre.lon_deg() - r_lon_deg).max(-180.0) / self.cell_deg).floor() as i32;
+        let lon_hi = ((centre.lon_deg() + r_lon_deg).min(180.0) / self.cell_deg).floor() as i32;
+        let r_rad2 = (region.radius_m() / EARTH_RADIUS_M).powi(2);
+        let test = CircleTest {
+            region,
+            lat_deg: centre.lat_deg(),
+            lon_deg: centre.lon_deg(),
+            cos2_lo: cos_lo * cos_lo,
+            cos2_hi: cos_hi * cos_hi,
+            inside_below: r_rad2 * (1.0 - SLACK),
+            outside_above: r_rad2 * (1.0 + SLACK),
+        };
         for c_lat in lat_lo.div_euclid(COARSE_FACTOR)..=lat_hi.div_euclid(COARSE_FACTOR) {
             for c_lon in lon_lo.div_euclid(COARSE_FACTOR)..=lon_hi.div_euclid(COARSE_FACTOR) {
                 let Some(cell) = self.coarse.get(&(c_lat, c_lon)) else {
@@ -227,7 +314,7 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> GridIndex<K> {
                     base_lon + COARSE_FACTOR - 1,
                 ) {
                     for bucket in cell.fine.values() {
-                        visit(bucket, false);
+                        visit(bucket, None);
                     }
                     continue;
                 }
@@ -242,7 +329,7 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> GridIndex<K> {
                         continue;
                     }
                     let covered = self.cells_definitely_inside(region, flat, flat, flon, flon);
-                    visit(bucket, !covered);
+                    visit(bucket, (!covered).then_some(&test));
                 }
             }
         }
@@ -252,14 +339,15 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> GridIndex<K> {
     /// (*not* key order). The allocation-free primitive behind every
     /// circle query; counting callers use it directly and skip the sort.
     pub fn for_each_in_circle(&self, region: &CircleRegion, mut f: impl FnMut(K)) {
-        self.visit_buckets(region, |bucket, filter| {
-            if filter {
+        self.visit_buckets(region, |bucket, test| match test {
+            Some(test) => {
                 for (k, p) in bucket {
-                    if region.contains(*p) {
+                    if test.contains(*p) {
                         f(*k);
                     }
                 }
-            } else {
+            }
+            None => {
                 for (k, _) in bucket {
                     f(*k);
                 }
@@ -272,11 +360,10 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> GridIndex<K> {
     /// per-point work.
     pub fn count_in_circle(&self, region: &CircleRegion) -> usize {
         let mut n = 0;
-        self.visit_buckets(region, |bucket, filter| {
-            n += if filter {
-                bucket.iter().filter(|(_, p)| region.contains(*p)).count()
-            } else {
-                bucket.len()
+        self.visit_buckets(region, |bucket, test| {
+            n += match test {
+                Some(test) => bucket.iter().filter(|(_, p)| test.contains(*p)).count(),
+                None => bucket.len(),
             };
         });
         n
@@ -390,34 +477,67 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_device_in_the_outer_sliver_of_the_radius_is_found() {
+        // The metric has 111 195 m per degree, not the 111 320 m that sizes
+        // the cells; a box built from the latter is 0.11 % too small. Put
+        // a cell-row boundary inside that outer sliver, north of the
+        // centre, and a device just beyond the boundary.
+        let cell_deg = 250.0 / CELL_M_PER_DEG;
+        let boundary = (40.4284f64 / cell_deg).ceil() * cell_deg;
+        let centre = GeoPoint::new(boundary - 300.0 / CELL_M_PER_DEG - 1e-7, -86.9138);
+        let device = GeoPoint::new(boundary + 1e-7, -86.9138);
+        let region = CircleRegion::new(centre, 300.0);
+        assert!(region.contains(device), "299.7 m from the centre");
+        let mut idx = GridIndex::new(250.0);
+        idx.insert(1u32, device);
+        assert_eq!(sorted_keys(&idx, &region), vec![1]);
+        assert_eq!(idx.count_in_circle(&region), 1);
+    }
+
+    /// Where a generated point goes: anywhere in the neighbourhood, or on
+    /// purpose within ±0.2 % of the query radius, where the quadratic
+    /// bounds hand over to the exact test and the bounding box ends.
+    fn place(query: GeoPoint, radius: f64, (kind, a, b): (u32, f64, f64)) -> GeoPoint {
+        if kind == 0 {
+            let d = radius * (1.0 + 0.002 * b);
+            let bearing = a * std::f64::consts::PI;
+            query.offset_by_meters(d * bearing.cos(), d * bearing.sin())
+        } else {
+            query.offset_by_meters(a * 3000.0, b * 3000.0)
+        }
+    }
+
     proptest! {
         /// The index answers every circle query exactly like a brute-force
-        /// scan.
+        /// scan — at any latitude the workspace's metric is used at,
+        /// across the equator, and for points on the circle's rim.
         #[test]
         fn matches_brute_force(
-            offsets in prop::collection::vec((-3000.0f64..3000.0, -3000.0f64..3000.0), 1..60),
-            q_north in -2500.0f64..2500.0,
-            q_east in -2500.0f64..2500.0,
+            points in prop::collection::vec((0u32..3, -1.0f64..1.0, -1.0f64..1.0), 1..60),
+            lat in -80.0f64..80.0,
+            near_equator in 0u32..4,
+            lon in -170.0f64..170.0,
             radius in 10.0f64..2500.0,
             cell_m in 50.0f64..1500.0,
         ) {
+            // A quarter of the cases sit within a radius of the equator.
+            let lat = if near_equator == 0 { lat / 80.0 * 0.02 } else { lat };
+            let query = GeoPoint::new(lat, lon);
+            let region = CircleRegion::new(query, radius);
             let mut idx = GridIndex::new(cell_m);
-            let points: Vec<GeoPoint> = offsets
-                .iter()
-                .map(|(n, e)| campus().offset_by_meters(*n, *e))
-                .collect();
+            let points: Vec<GeoPoint> = points.iter().map(|p| place(query, radius, *p)).collect();
             for (i, p) in points.iter().enumerate() {
                 idx.insert(i as u32, *p);
             }
-            let region = CircleRegion::new(campus().offset_by_meters(q_north, q_east), radius);
-            let mut brute: Vec<u32> = points
+            let brute: Vec<u32> = points
                 .iter()
                 .enumerate()
                 .filter(|(_, p)| region.contains(**p))
                 .map(|(i, _)| i as u32)
                 .collect();
-            brute.sort_unstable();
-            prop_assert_eq!(sorted_keys(&idx, &region), brute);
+            prop_assert_eq!(sorted_keys(&idx, &region), brute.clone());
+            prop_assert_eq!(idx.count_in_circle(&region), brute.len());
         }
     }
 }
