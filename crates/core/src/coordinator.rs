@@ -45,7 +45,7 @@ use crate::pool::ShardPool;
 use crate::privacy;
 use crate::request::{RejectReason, Request, RequestId, RequestStatus, ShedReason};
 use crate::shard::{QueueKey, Shard};
-use crate::store::device_store::DeviceRecord;
+use crate::store::device_store::{DeviceRecord, RecordView};
 use crate::store::task_store::{TaskStatus, TaskStore};
 use crate::store::{CandidateRow, DeviceIndex, QualificationProbe};
 use crate::task::{TaskId, TaskSpec};
@@ -252,11 +252,77 @@ pub struct ControlSnapshot {
     pub(crate) queued_run: Vec<Request>,
     pub(crate) queued_wait: Vec<Request>,
     pub(crate) active: Vec<(RequestId, ActiveRequest)>,
+    /// Strictly ascending by IMEI: [`Coordinator::snapshot`] writes them
+    /// so, the decoder refuses anything else, and
+    /// [`Coordinator::restore_base`] bulk-loads on the strength of it.
     pub(crate) devices: Vec<DeviceRecord>,
     pub(crate) seq_ledger: BTreeMap<ImeiHash, SeqLedger>,
     pub(crate) delivered_log: BTreeSet<(RequestId, ImeiHash)>,
     pub(crate) stats: ServerStats,
     pub(crate) selections: TraceLog<SelectionEvent>,
+}
+
+/// The state a [`ControlSnapshot`] copies, borrowed where the coordinator
+/// keeps it — what the persistence layer encodes a full snapshot from
+/// (`persist::snapshot::write_full`), so persisting a million devices
+/// clones none of them.
+pub(crate) struct ControlView<'a> {
+    pub(crate) taken_at: SimTime,
+    pub(crate) tasks: &'a TaskStore,
+    pub(crate) next_request_id: u64,
+    pub(crate) statuses: &'a BTreeMap<RequestId, RequestStatus>,
+    pub(crate) task_owner: &'a BTreeMap<TaskId, CasId>,
+    pub(crate) active: &'a ActiveSet,
+    pub(crate) seq_ledger: &'a BTreeMap<ImeiHash, SeqLedger>,
+    pub(crate) delivered_log: &'a BTreeSet<(RequestId, ImeiHash)>,
+    pub(crate) stats: ServerStats,
+    pub(crate) selections: &'a TraceLog<SelectionEvent>,
+    shards: &'a [Shard],
+    home: &'a BTreeMap<ImeiHash, usize>,
+}
+
+impl<'a> ControlView<'a> {
+    /// Run-queue entries, shard by shard.
+    pub(crate) fn queued_run(&self) -> impl Iterator<Item = &'a Request> + use<'a> {
+        self.shards.iter().flat_map(Shard::run_requests)
+    }
+
+    /// Wait-queue entries, shard by shard.
+    pub(crate) fn queued_wait(&self) -> impl Iterator<Item = &'a Request> + use<'a> {
+        self.shards.iter().flat_map(Shard::wait_requests)
+    }
+
+    /// How many requests [`queued_run`](Self::queued_run) yields.
+    pub(crate) fn queued_run_len(&self) -> usize {
+        self.shards.iter().map(Shard::run_queue_len).sum()
+    }
+
+    /// How many requests [`queued_wait`](Self::queued_wait) yields.
+    pub(crate) fn queued_wait_len(&self) -> usize {
+        self.shards.iter().map(Shard::wait_queue_len).sum()
+    }
+
+    /// How many records [`devices`](Self::devices) yields.
+    pub(crate) fn device_count(&self) -> usize {
+        self.home.len()
+    }
+
+    /// Every device record, strictly ascending by IMEI across all shards.
+    ///
+    /// `home` is the global IMEI order and names each device's shard, and
+    /// each shard yields its own devices in IMEI order — so the next
+    /// device overall is always the next one of the shard `home` names.
+    /// No sort and no heap: one cursor per shard, advanced by the walk.
+    pub(crate) fn devices(&self) -> impl Iterator<Item = RecordView<'a>> + use<'a> {
+        let mut cursors: Vec<_> = self.shards.iter().map(Shard::device_views).collect();
+        self.home.iter().map(move |(&imei, &shard)| {
+            let view = cursors[shard]
+                .next()
+                .expect("a shard holds every device homed on it");
+            assert_eq!(view.imei, imei, "home and shard walk in the same order");
+            view
+        })
+    }
 }
 
 impl ControlSnapshot {
@@ -2175,38 +2241,39 @@ impl Coordinator {
     /// tick, so un-forwarded readings at crash time are genuinely lost and
     /// must be re-covered by client retransmission.
     pub fn snapshot(&self, now: SimTime) -> ControlSnapshot {
+        let view = self.view(now);
         ControlSnapshot {
             taken_at: now,
             tasks: self.tasks.clone(),
             next_request_id: self.next_request_id,
             statuses: self.statuses.clone(),
             task_owner: self.task_owner.clone(),
-            queued_run: self
-                .shards
-                .iter()
-                .flat_map(Shard::run_requests)
-                .cloned()
-                .collect(),
-            queued_wait: self
-                .shards
-                .iter()
-                .flat_map(Shard::wait_requests)
-                .cloned()
-                .collect(),
+            queued_run: view.queued_run().cloned().collect(),
+            queued_wait: view.queued_wait().cloned().collect(),
             active: self.active.iter().map(|(id, a)| (id, a.clone())).collect(),
-            devices: {
-                let mut records: Vec<DeviceRecord> = self
-                    .shards
-                    .iter()
-                    .flat_map(|s| s.device_records())
-                    .collect();
-                records.sort_unstable_by_key(|r| r.imei);
-                records
-            },
+            devices: view.devices().map(|record| record.to_record()).collect(),
             seq_ledger: self.seq_ledger.clone(),
             delivered_log: self.delivered_log.clone(),
             stats: self.stats,
             selections: self.selections.clone(),
+        }
+    }
+
+    /// The same state, borrowed (see [`ControlView`]).
+    pub(crate) fn view(&self, now: SimTime) -> ControlView<'_> {
+        ControlView {
+            taken_at: now,
+            tasks: &self.tasks,
+            next_request_id: self.next_request_id,
+            statuses: &self.statuses,
+            task_owner: &self.task_owner,
+            active: &self.active,
+            seq_ledger: &self.seq_ledger,
+            delivered_log: &self.delivered_log,
+            stats: self.stats,
+            selections: &self.selections,
+            shards: &self.shards,
+            home: &self.home,
         }
     }
 
@@ -2238,7 +2305,6 @@ impl Coordinator {
         self.dirty_statuses.clear();
         self.dirty_seq.clear();
         self.delivered_since.clear();
-        self.home.clear();
         self.tasks = snapshot.tasks;
         self.next_request_id = snapshot.next_request_id;
         self.statuses = snapshot.statuses;
@@ -2252,21 +2318,48 @@ impl Coordinator {
         for (id, active) in snapshot.active {
             self.active.insert(id, active);
         }
+        // Hysteresis state is in-memory only and restarts clean.
+        self.degrade_state.clear();
+
+        // The devices arrive as one run, strictly ascending by IMEI (the
+        // decoder refuses anything else), and everything here is empty:
+        // each map is built once from sorted input and each shard is
+        // handed its share of the run whole, instead of a million
+        // registrations.
+        debug_assert!(
+            snapshot.devices.windows(2).all(|w| w[0].imei < w[1].imei),
+            "snapshot devices are strictly ascending by IMEI"
+        );
+        let homes: Vec<(ImeiHash, usize)> = snapshot
+            .devices
+            .iter()
+            .map(|record| (record.imei, self.shard_of_cell(record.cell)))
+            .collect();
         // Leases are re-armed from each restored record's last contact,
         // so a device that went silent across the crash still expires on
-        // schedule — restore must never mint immortal devices. Hysteresis
-        // state is in-memory only and restarts clean.
-        self.lease_expiry.clear();
-        self.earliest_lease = None;
-        self.degrade_state.clear();
-        for record in snapshot.devices {
-            let imei = record.imei;
-            let contact = record.last_comm;
-            let shard = self.shard_of_cell(record.cell);
-            self.home.insert(imei, shard);
-            self.shards[shard].insert_device(record);
-            self.renew_lease(imei, contact);
+        // schedule — restore must never mint immortal devices.
+        self.lease_expiry = match self.config.device_lease {
+            Some(lease) => snapshot
+                .devices
+                .iter()
+                .map(|record| (record.imei, record.last_comm + lease))
+                .collect(),
+            None => BTreeMap::new(),
+        };
+        self.recompute_earliest_lease();
+        let mut sizes = vec![0usize; shard_count];
+        for &(_, shard) in &homes {
+            sizes[shard] += 1;
         }
+        let mut per_shard: Vec<Vec<DeviceRecord>> =
+            sizes.into_iter().map(Vec::with_capacity).collect();
+        for (record, &(_, shard)) in snapshot.devices.into_iter().zip(&homes) {
+            per_shard[shard].push(record);
+        }
+        for (shard, records) in self.shards.iter_mut().zip(per_shard) {
+            shard.extend_devices(records);
+        }
+        self.home = homes.into_iter().collect();
         for request in snapshot.queued_run {
             self.enqueue_run(request);
         }
@@ -2372,23 +2465,14 @@ impl Coordinator {
                 None => devices_removed.push(imei),
             }
         }
+        let view = self.view(now);
         Some(SnapshotDelta {
             taken_at: now,
             next_request_id: self.next_request_id,
             tasks: self.tasks.clone(),
             task_owner: self.task_owner.clone(),
-            queued_run: self
-                .shards
-                .iter()
-                .flat_map(Shard::run_requests)
-                .cloned()
-                .collect(),
-            queued_wait: self
-                .shards
-                .iter()
-                .flat_map(Shard::wait_requests)
-                .cloned()
-                .collect(),
+            queued_run: view.queued_run().cloned().collect(),
+            queued_wait: view.queued_wait().cloned().collect(),
             active: self.active.iter().map(|(id, a)| (id, a.clone())).collect(),
             stats: self.stats,
             devices_changed,

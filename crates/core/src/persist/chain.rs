@@ -25,16 +25,16 @@ use std::collections::BTreeSet;
 
 use senseaid_sim::SimTime;
 
-use crate::coordinator::{ControlSnapshot, SnapshotDelta};
+use crate::coordinator::{ControlSnapshot, ControlView, SnapshotDelta};
 
 use super::codec::{
-    open_frame, seal_frame, ByteReader, ByteWriter, CodecError, KIND_MANIFEST, KIND_SNAPSHOT_DELTA,
-    KIND_SNAPSHOT_FULL,
+    begin_frame, end_frame, open_frame, open_frame_len, seal_frame, ByteReader, ByteWriter,
+    CodecError, FRAME_OVERHEAD, KIND_MANIFEST, KIND_SNAPSHOT_DELTA, KIND_SNAPSHOT_FULL,
 };
 use super::journal::{decode_segment, encode_record_into, JournalOp};
-use super::snapshot::{apply_delta, decode_delta, decode_full, encode_delta, encode_full};
+use super::snapshot::{apply_delta, decode_delta, decode_full, write_delta, write_full};
 use super::storage::StorageBackend;
-use super::{PersistConfig, PersistError};
+use super::{fit_u32, PersistConfig, PersistError};
 
 /// The manifest file name.
 pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
@@ -89,6 +89,33 @@ fn decode_manifest(bytes: &[u8]) -> Result<Vec<ManifestEntry>, CodecError> {
     Ok(entries)
 }
 
+/// Bytes to reserve for a full snapshot of `devices` devices: a record
+/// with one sensor and an eight-byte type name is 112 bytes, and the
+/// request-scale sections are small beside the device section. Only a
+/// hint — a population with longer records grows the buffer once.
+fn full_snapshot_reserve(devices: usize) -> usize {
+    FRAME_OVERHEAD + 4096 + devices.saturating_mul(128)
+}
+
+/// Builds one snapshot frame in place: opens it at the start of a buffer
+/// reserved for `reserve` bytes, lets `fill` append the payload, checks
+/// the payload against the header's `u32` and seals it. No second copy of
+/// the payload is ever made.
+fn build_frame(
+    kind: u8,
+    reserve: usize,
+    fill: impl FnOnce(&mut ByteWriter) -> Result<(), PersistError>,
+) -> Result<Vec<u8>, PersistError> {
+    let mut frame = Vec::with_capacity(reserve);
+    let start = begin_frame(&mut frame, kind);
+    let mut w = ByteWriter::from_vec(frame);
+    fill(&mut w)?;
+    let mut frame = w.into_bytes();
+    fit_u32("snapshot payload", open_frame_len(&frame, start))?;
+    end_frame(&mut frame, start);
+    Ok(frame)
+}
+
 /// Write-side persistence counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistStats {
@@ -110,8 +137,9 @@ pub struct PersistStats {
     /// `journal_records + append_failures` is the count of sequence
     /// numbers that have been committed.
     pub append_failures: u64,
-    /// Snapshot writes the backend refused (the generation is not
-    /// advanced; dirty state is kept for the next attempt).
+    /// Snapshots that did not land — refused by the backend, or too
+    /// large for the format (the generation is not advanced; dirty state
+    /// is kept for the next attempt).
     pub snapshot_write_failures: u64,
 }
 
@@ -143,11 +171,12 @@ impl Persistor {
     /// # Errors
     ///
     /// [`PersistError::Storage`] when the initial snapshot cannot be
-    /// written (e.g. the backend is full).
+    /// written (e.g. the backend is full), [`PersistError::TooLarge`]
+    /// when the state outgrew the format.
     pub(crate) fn initialise(
         storage: Box<dyn StorageBackend>,
         config: PersistConfig,
-        snapshot: &ControlSnapshot,
+        state: &ControlView<'_>,
         journal_seq: u64,
     ) -> Result<Self, PersistError> {
         let config = PersistConfig {
@@ -177,9 +206,7 @@ impl Persistor {
             since_full: 0,
             stats: PersistStats::default(),
         };
-        p.write_generation(generation, KIND_SNAPSHOT_FULL, 0, &{
-            encode_full(snapshot, journal_seq)
-        })?;
+        p.write_full_generation(generation, state)?;
         Ok(p)
     }
 
@@ -221,17 +248,23 @@ impl Persistor {
         gen: u64,
         kind: u8,
         base_gen: u64,
-        payload: &[u8],
+        reserve: usize,
+        fill: impl FnOnce(&mut ByteWriter) -> Result<(), PersistError>,
     ) -> Result<u64, PersistError> {
         // Held records precede this snapshot's watermark: they belong to
         // the segment being closed, not the one about to open.
         self.write_pending();
-        let framed = seal_frame(kind, payload);
-        let bytes = framed.len() as u64;
-        if let Err(e) = self.storage.write(&snap_name(gen), &framed) {
-            self.stats.snapshot_write_failures += 1;
-            return Err(e.into());
-        }
+        let written = build_frame(kind, reserve, fill).and_then(|frame| {
+            self.storage.write(&snap_name(gen), &frame)?;
+            Ok(frame.len() as u64)
+        });
+        let bytes = match written {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                self.stats.snapshot_write_failures += 1;
+                return Err(e);
+            }
+        };
         self.entries.push(ManifestEntry {
             gen,
             kind,
@@ -263,12 +296,25 @@ impl Persistor {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Storage`] when the backend refuses the write; the
+    /// [`PersistError::Storage`] when the backend refuses the write,
+    /// [`PersistError::TooLarge`] when the state outgrew the format; the
     /// generation does not advance.
-    pub(crate) fn persist_full(&mut self, snapshot: &ControlSnapshot) -> Result<u64, PersistError> {
-        let gen = self.generation + 1;
-        let payload = encode_full(snapshot, self.journal_seq);
-        self.write_generation(gen, KIND_SNAPSHOT_FULL, 0, &payload)
+    pub(crate) fn persist_full(&mut self, state: &ControlView<'_>) -> Result<u64, PersistError> {
+        self.write_full_generation(self.generation + 1, state)
+    }
+
+    /// Writes `state` as full generation `gen`, watermarked with the next
+    /// journal sequence number.
+    fn write_full_generation(
+        &mut self,
+        gen: u64,
+        state: &ControlView<'_>,
+    ) -> Result<u64, PersistError> {
+        let journal_seq = self.journal_seq;
+        let reserve = full_snapshot_reserve(state.device_count());
+        self.write_generation(gen, KIND_SNAPSHOT_FULL, 0, reserve, |w| {
+            write_full(w, state, journal_seq)
+        })
     }
 
     /// Persists a delta snapshot against the current generation. Returns
@@ -281,8 +327,11 @@ impl Persistor {
     pub(crate) fn persist_delta(&mut self, delta: &SnapshotDelta) -> Result<u64, PersistError> {
         let base_gen = self.generation;
         let gen = self.generation + 1;
-        let payload = encode_delta(delta, base_gen, self.journal_seq);
-        self.write_generation(gen, KIND_SNAPSHOT_DELTA, base_gen, &payload)
+        let journal_seq = self.journal_seq;
+        self.write_generation(gen, KIND_SNAPSHOT_DELTA, base_gen, 0, |w| {
+            write_delta(w, delta, base_gen, journal_seq);
+            Ok(())
+        })
     }
 
     /// Appends one journaled op, consuming the next sequence number
@@ -426,8 +475,8 @@ fn load_candidate(
     };
     let mut state = full.snapshot;
     let mut watermark = full.journal_seq;
-    for d in deltas.iter().rev() {
-        match apply_delta(&state, &d.delta) {
+    for d in deltas.into_iter().rev() {
+        match apply_delta(state, d.delta) {
             Ok(next) => {
                 state = next;
                 watermark = d.journal_seq;

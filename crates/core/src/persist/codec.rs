@@ -66,11 +66,15 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, reflected), table-driven.
+// CRC32 (IEEE 802.3 polynomial, reflected), slice-by-8.
 // ---------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC state after byte `b` followed by `k` zero bytes, which is
+/// what lets eight input bytes be folded in with eight independent
+/// lookups instead of eight dependent ones.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -83,19 +87,44 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC32 (IEEE) over `bytes`.
+/// CRC32 (IEEE) over `bytes`: eight bytes per step, the byte loop only
+/// for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -306,11 +335,21 @@ pub(crate) fn begin_frame(out: &mut Vec<u8>, kind: u8) -> usize {
     start
 }
 
+/// Payload bytes appended so far to the frame opened at `start`.
+pub(crate) fn open_frame_len(out: &[u8], start: usize) -> usize {
+    out.len() - start - FRAME_HEADER
+}
+
 /// Closes the frame opened at `start` by [`begin_frame`]: patches the
 /// payload length into the header and appends the CRC.
+///
+/// # Panics
+///
+/// When the payload does not fit the header's `u32`. Journal records are
+/// bounded far below that; the snapshot writer, whose payload grows with
+/// the population, checks [`open_frame_len`] first and refuses instead.
 pub(crate) fn end_frame(out: &mut Vec<u8>, start: usize) {
-    let payload_len = out.len() - start - FRAME_HEADER;
-    let len = u32::try_from(payload_len).expect("frame payload must fit in u32");
+    let len = u32::try_from(open_frame_len(out, start)).expect("frame payload must fit in u32");
     out[start + FRAME_HEADER - 4..start + FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -322,12 +361,18 @@ pub(crate) fn end_frame(out: &mut Vec<u8>, start: usize) {
 /// wire response and push goes through here, and the patch-the-length
 /// shape measured slower on the push-heavy live workload. A test pins
 /// the two encodings equal.
+///
+/// # Panics
+///
+/// When `payload` does not fit the header's `u32` (wire payloads and the
+/// manifest are capped far below it).
 pub fn seal_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(payload.len()).expect("frame payload must fit in u32");
     let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(payload);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -393,11 +438,49 @@ pub fn open_frame_expecting(bytes: &[u8], expect: u8) -> Result<&[u8], CodecErro
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time table walk `crc32` used to be — the reference
+    /// the slice-by-8 version is compared against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    fn filler(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = senseaid_sim::SimRng::from_seed_label(seed, "crc-filler");
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // Standard IEEE test vector.
+        // Standard IEEE test vectors.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414f_a339
+        );
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_offset() {
+        let shared = filler(7, 320);
+        for offset in 0..=8 {
+            for len in 0..=300 {
+                let slice = &shared[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        for seed in 0..8u64 {
+            let big = filler(seed, 64 * 1024);
+            assert_eq!(crc32(&big), crc32_bytewise(&big), "seed {seed}");
+        }
     }
 
     #[test]

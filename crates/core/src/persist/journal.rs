@@ -276,7 +276,7 @@ fn put_op(w: &mut ByteWriter, op: &JournalOp) {
     match op {
         JournalOp::Register { record } => {
             w.put_u8(0);
-            put_record(w, record);
+            put_record(w, &record.view());
         }
         JournalOp::Deregister { imei } => {
             w.put_u8(1);

@@ -75,6 +75,20 @@ pub enum PersistError {
     Storage(StorageError),
     /// A frame or payload failed to decode.
     Codec(CodecError),
+    /// The state is too large for the format: `what` counts `len`, and
+    /// the field that carries it is a `u32`. Nothing was written.
+    TooLarge {
+        /// Which length overflowed.
+        what: &'static str,
+        /// Its value.
+        len: usize,
+    },
+}
+
+/// `len` as the `u32` the format stores it in, or the refusal a snapshot
+/// writer returns instead of wrapping or panicking.
+pub(crate) fn fit_u32(what: &'static str, len: usize) -> Result<u32, PersistError> {
+    u32::try_from(len).map_err(|_| PersistError::TooLarge { what, len })
 }
 
 impl fmt::Display for PersistError {
@@ -82,6 +96,9 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Storage(e) => write!(f, "storage: {e}"),
             PersistError::Codec(e) => write!(f, "codec: {e}"),
+            PersistError::TooLarge { what, len } => {
+                write!(f, "{what} {len} does not fit the format's u32")
+            }
         }
     }
 }
@@ -125,4 +142,25 @@ pub fn validate_snapshot_frame(bytes: &[u8]) -> Result<(), CodecError> {
 pub fn journal_valid_prefix(bytes: &[u8]) -> (usize, usize) {
     let prefix = journal::decode_segment(bytes);
     (prefix.ops.len(), prefix.valid_bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_length_past_u32_is_refused_not_wrapped() {
+        let max = u32::MAX as usize;
+        assert_eq!(fit_u32("snapshot payload", max), Ok(u32::MAX));
+        assert_eq!(
+            fit_u32("snapshot payload", max + 1),
+            Err(PersistError::TooLarge {
+                what: "snapshot payload",
+                len: max + 1,
+            })
+        );
+        // 38 M devices at ~114 bytes each is where a payload crosses it.
+        assert!(fit_u32("device count", 38_000_000).is_ok());
+    }
 }

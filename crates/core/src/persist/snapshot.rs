@@ -25,15 +25,16 @@ use senseaid_sim::{SimDuration, SimTime, TraceLog};
 
 use crate::cas::CasId;
 use crate::coordinator::{
-    ActiveRequest, ControlSnapshot, SelectionEvent, SeqLedger, SnapshotDelta,
+    ActiveRequest, ControlSnapshot, ControlView, SelectionEvent, SeqLedger, SnapshotDelta,
 };
 use crate::request::{RejectReason, Request, RequestId, RequestStatus, ShedReason};
-use crate::store::device_store::DeviceRecord;
+use crate::store::device_store::{DeviceRecord, RecordView};
 use crate::store::task_store::{TaskState, TaskStatus, TaskStore};
 use crate::task::{TaskId, TaskSchedule, TaskSpec};
 use crate::ServerStats;
 
 use super::codec::{ByteReader, ByteWriter, CodecError};
+use super::{fit_u32, PersistError};
 
 // ---------------------------------------------------------------------
 // Primitive helpers (shared with the journal codec)
@@ -242,7 +243,7 @@ pub(crate) fn take_status(r: &mut ByteReader<'_>) -> Result<RequestStatus, Codec
     })
 }
 
-pub(crate) fn put_record(w: &mut ByteWriter, rec: &DeviceRecord) {
+pub(crate) fn put_record(w: &mut ByteWriter, rec: &RecordView<'_>) {
     w.put_u64(rec.imei.0);
     w.put_f64(rec.energy_budget_j);
     w.put_f64(rec.critical_battery_pct);
@@ -265,10 +266,10 @@ pub(crate) fn put_record(w: &mut ByteWriter, rec: &DeviceRecord) {
         None => w.put_bool(false),
     }
     put_count(w, rec.sensors.len());
-    for &s in &rec.sensors {
+    for &s in rec.sensors {
         put_sensor(w, s);
     }
-    w.put_str(&rec.device_type);
+    w.put_str(rec.device_type);
     w.put_bool(rec.responsive);
     w.put_bool(rec.data_valid);
     w.put_f64(rec.reliability);
@@ -319,6 +320,24 @@ pub(crate) fn take_record(r: &mut ByteReader<'_>) -> Result<DeviceRecord, CodecE
         data_valid,
         reliability,
     })
+}
+
+/// Reads a counted run of device records, refusing one that is not
+/// strictly ascending by IMEI. Every writer emits them so; a frame that
+/// passes its CRC with a repeat or a swap would otherwise load a device
+/// into two shards, or defeat the sorted-run merge and bulk load that
+/// rely on the order.
+fn take_records_ascending(r: &mut ByteReader<'_>) -> Result<Vec<DeviceRecord>, CodecError> {
+    let n = r.take_count(16)?;
+    let mut records: Vec<DeviceRecord> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let record = take_record(r)?;
+        if records.last().is_some_and(|prev| prev.imei >= record.imei) {
+            return Err(CodecError::Malformed("device records not ascending"));
+        }
+        records.push(record);
+    }
+    Ok(records)
 }
 
 pub(crate) fn put_reading(w: &mut ByteWriter, reading: &SensorReading) {
@@ -546,7 +565,71 @@ pub(crate) struct DecodedFull {
     pub(crate) snapshot: ControlSnapshot,
 }
 
-/// Encodes a full snapshot payload (unframed).
+/// Appends a full snapshot payload (unframed) to `w`, read straight from
+/// the control plane's own state: no [`ControlSnapshot`] is built and no
+/// device record is cloned. Byte for byte what `encode_full` produces
+/// from `Coordinator::snapshot` — the tests hold the two together.
+///
+/// # Errors
+///
+/// [`PersistError::TooLarge`] when the device count does not fit the
+/// format's `u32`; `w` then holds a partial payload to discard.
+pub(crate) fn write_full(
+    w: &mut ByteWriter,
+    s: &ControlView<'_>,
+    journal_seq: u64,
+) -> Result<(), PersistError> {
+    let device_count = fit_u32("device count", s.device_count())?;
+    w.put_u64(journal_seq);
+    put_time(w, s.taken_at);
+    w.put_u64(s.next_request_id);
+    put_task_store(w, s.tasks);
+    put_count(w, s.task_owner.len());
+    for (&task, &cas) in s.task_owner {
+        w.put_u64(task.0);
+        w.put_u64(cas.0);
+    }
+    put_count(w, s.statuses.len());
+    for (&id, &status) in s.statuses {
+        w.put_u64(id.0);
+        put_status(w, status);
+    }
+    put_count(w, s.queued_run_len());
+    for req in s.queued_run() {
+        put_request(w, req);
+    }
+    put_count(w, s.queued_wait_len());
+    for req in s.queued_wait() {
+        put_request(w, req);
+    }
+    put_count(w, s.active.len());
+    for (id, active) in s.active.iter() {
+        w.put_u64(id.0);
+        put_active(w, active);
+    }
+    w.put_u32(device_count);
+    for rec in s.devices() {
+        put_record(w, &rec);
+    }
+    put_count(w, s.seq_ledger.len());
+    for (imei, ledger) in s.seq_ledger {
+        w.put_u64(imei.0);
+        put_ledger(w, ledger);
+    }
+    put_count(w, s.delivered_log.len());
+    for &(req, imei) in s.delivered_log {
+        w.put_u64(req.0);
+        w.put_u64(imei.0);
+    }
+    put_stats(w, &s.stats);
+    put_selections(w, s.selections);
+    Ok(())
+}
+
+/// Encodes a full snapshot payload (unframed) from a materialised
+/// [`ControlSnapshot`] — the reference [`write_full`] is compared
+/// against.
+#[cfg(test)]
 pub(crate) fn encode_full(s: &ControlSnapshot, journal_seq: u64) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(journal_seq);
@@ -578,7 +661,7 @@ pub(crate) fn encode_full(s: &ControlSnapshot, journal_seq: u64) -> Vec<u8> {
     }
     put_count(&mut w, s.devices.len());
     for rec in &s.devices {
-        put_record(&mut w, rec);
+        put_record(&mut w, &rec.view());
     }
     put_count(&mut w, s.seq_ledger.len());
     for (imei, ledger) in &s.seq_ledger {
@@ -634,11 +717,7 @@ pub(crate) fn decode_full(payload: &[u8]) -> Result<DecodedFull, CodecError> {
         active.push((id, take_active(&mut r)?));
     }
 
-    let n = r.take_count(16)?;
-    let mut devices = Vec::with_capacity(n);
-    for _ in 0..n {
-        devices.push(take_record(&mut r)?);
-    }
+    let devices = take_records_ascending(&mut r)?;
 
     let n = r.take_count(16)?;
     let mut seq_ledger = BTreeMap::new();
@@ -695,63 +774,61 @@ pub(crate) struct DecodedDelta {
     pub(crate) delta: SnapshotDelta,
 }
 
-/// Encodes a delta snapshot payload (unframed) against `base_gen`.
-pub(crate) fn encode_delta(d: &SnapshotDelta, base_gen: u64, journal_seq: u64) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Appends a delta snapshot payload (unframed) against `base_gen` to `w`.
+pub(crate) fn write_delta(w: &mut ByteWriter, d: &SnapshotDelta, base_gen: u64, journal_seq: u64) {
     w.put_u64(base_gen);
     w.put_u64(journal_seq);
-    put_time(&mut w, d.taken_at);
+    put_time(w, d.taken_at);
     w.put_u64(d.next_request_id);
-    put_task_store(&mut w, &d.tasks);
-    put_count(&mut w, d.task_owner.len());
+    put_task_store(w, &d.tasks);
+    put_count(w, d.task_owner.len());
     for (&task, &cas) in &d.task_owner {
         w.put_u64(task.0);
         w.put_u64(cas.0);
     }
-    put_count(&mut w, d.queued_run.len());
+    put_count(w, d.queued_run.len());
     for req in &d.queued_run {
-        put_request(&mut w, req);
+        put_request(w, req);
     }
-    put_count(&mut w, d.queued_wait.len());
+    put_count(w, d.queued_wait.len());
     for req in &d.queued_wait {
-        put_request(&mut w, req);
+        put_request(w, req);
     }
-    put_count(&mut w, d.active.len());
+    put_count(w, d.active.len());
     for (id, active) in &d.active {
         w.put_u64(id.0);
-        put_active(&mut w, active);
+        put_active(w, active);
     }
-    put_stats(&mut w, &d.stats);
-    put_count(&mut w, d.devices_changed.len());
+    put_stats(w, &d.stats);
+    put_count(w, d.devices_changed.len());
     for rec in &d.devices_changed {
-        put_record(&mut w, rec);
+        put_record(w, &rec.view());
     }
-    put_count(&mut w, d.devices_removed.len());
+    put_count(w, d.devices_removed.len());
     for imei in &d.devices_removed {
         w.put_u64(imei.0);
     }
-    put_count(&mut w, d.statuses_changed.len());
+    put_count(w, d.statuses_changed.len());
     for &(id, status) in &d.statuses_changed {
         w.put_u64(id.0);
-        put_status(&mut w, status);
+        put_status(w, status);
     }
-    put_count(&mut w, d.seq_changed.len());
+    put_count(w, d.seq_changed.len());
     for (imei, ledger) in &d.seq_changed {
         w.put_u64(imei.0);
-        put_ledger(&mut w, ledger);
+        put_ledger(w, ledger);
     }
-    put_count(&mut w, d.delivered_appended.len());
+    put_count(w, d.delivered_appended.len());
     for &(req, imei) in &d.delivered_appended {
         w.put_u64(req.0);
         w.put_u64(imei.0);
     }
-    put_count(&mut w, d.selections_base_len);
-    put_count(&mut w, d.selections_appended.len());
+    put_count(w, d.selections_base_len);
+    put_count(w, d.selections_appended.len());
     for entry in &d.selections_appended {
-        put_time(&mut w, entry.at);
-        put_selection(&mut w, &entry.item);
+        put_time(w, entry.at);
+        put_selection(w, &entry.item);
     }
-    w.into_bytes()
 }
 
 /// Decodes a delta snapshot payload.
@@ -789,16 +866,16 @@ pub(crate) fn decode_delta(payload: &[u8]) -> Result<DecodedDelta, CodecError> {
 
     let stats = take_stats(&mut r)?;
 
-    let n = r.take_count(16)?;
-    let mut devices_changed = Vec::with_capacity(n);
-    for _ in 0..n {
-        devices_changed.push(take_record(&mut r)?);
-    }
+    let devices_changed = take_records_ascending(&mut r)?;
 
     let n = r.take_count(8)?;
-    let mut devices_removed = Vec::with_capacity(n);
+    let mut devices_removed: Vec<ImeiHash> = Vec::with_capacity(n);
     for _ in 0..n {
-        devices_removed.push(ImeiHash(r.take_u64()?));
+        let imei = ImeiHash(r.take_u64()?);
+        if devices_removed.last().is_some_and(|prev| *prev >= imei) {
+            return Err(CodecError::Malformed("removed devices not ascending"));
+        }
+        devices_removed.push(imei);
     }
 
     let n = r.take_count(9)?;
@@ -854,7 +931,10 @@ pub(crate) fn decode_delta(payload: &[u8]) -> Result<DecodedDelta, CodecError> {
 }
 
 /// Applies a decoded delta on top of its base snapshot, producing the
-/// state as of the delta's generation.
+/// state as of the delta's generation. Both are consumed: the base's
+/// maps and trace are extended in place, and its device run is merged
+/// with the delta's — both strictly ascending by IMEI, as the decoder
+/// guarantees — in one pass, so resolving a chain clones nothing.
 ///
 /// # Errors
 ///
@@ -864,60 +944,56 @@ pub(crate) fn decode_delta(payload: &[u8]) -> Result<DecodedDelta, CodecError> {
 /// chain layer treats that like any other corruption: fall back to an
 /// older generation.
 pub(crate) fn apply_delta(
-    base: &ControlSnapshot,
-    d: &SnapshotDelta,
+    base: ControlSnapshot,
+    d: SnapshotDelta,
 ) -> Result<ControlSnapshot, CodecError> {
     if d.selections_base_len != base.selections.len() {
         return Err(CodecError::Malformed("delta base selections mismatch"));
     }
-    let mut devices: BTreeMap<ImeiHash, DeviceRecord> = base
-        .devices
-        .iter()
-        .map(|rec| (rec.imei, rec.clone()))
-        .collect();
-    for rec in &d.devices_changed {
-        devices.insert(rec.imei, rec.clone());
-    }
-    for imei in &d.devices_removed {
-        devices.remove(imei);
-    }
-
-    let mut statuses = base.statuses.clone();
-    for &(id, status) in &d.statuses_changed {
-        statuses.insert(id, status);
-    }
-
-    let mut seq_ledger = base.seq_ledger.clone();
-    for (imei, ledger) in &d.seq_changed {
-        seq_ledger.insert(*imei, ledger.clone());
-    }
-
-    let mut delivered_log = base.delivered_log.clone();
-    for &pair in &d.delivered_appended {
-        delivered_log.insert(pair);
-    }
-
-    let mut selections = TraceLog::new();
-    for entry in base.selections.entries() {
-        selections.push(entry.at, entry.item.clone());
-    }
-    for entry in &d.selections_appended {
+    let mut selections = base.selections;
+    for entry in d.selections_appended {
         if selections.last().is_some_and(|prev| entry.at < prev.at) {
             return Err(CodecError::Malformed("delta selections not monotone"));
         }
-        selections.push(entry.at, entry.item.clone());
+        selections.push(entry.at, entry.item);
     }
+
+    // The base run with the delta's run folded in — a changed record
+    // replaces its base record — and removed IMEIs dropped from both.
+    let mut devices = Vec::with_capacity(base.devices.len() + d.devices_changed.len());
+    let mut removed = d.devices_removed.iter().peekable();
+    let mut keep = |record: DeviceRecord| {
+        while removed.next_if(|gone| **gone < record.imei).is_some() {}
+        if removed.peek() != Some(&&record.imei) {
+            devices.push(record);
+        }
+    };
+    let mut changed = d.devices_changed.into_iter().peekable();
+    for record in base.devices {
+        while let Some(added) = changed.next_if(|c| c.imei < record.imei) {
+            keep(added);
+        }
+        keep(changed.next_if(|c| c.imei == record.imei).unwrap_or(record));
+    }
+    changed.for_each(&mut keep);
+
+    let mut statuses = base.statuses;
+    statuses.extend(d.statuses_changed);
+    let mut seq_ledger = base.seq_ledger;
+    seq_ledger.extend(d.seq_changed);
+    let mut delivered_log = base.delivered_log;
+    delivered_log.extend(d.delivered_appended);
 
     Ok(ControlSnapshot {
         taken_at: d.taken_at,
-        tasks: d.tasks.clone(),
+        tasks: d.tasks,
         next_request_id: d.next_request_id,
         statuses,
-        task_owner: d.task_owner.clone(),
-        queued_run: d.queued_run.clone(),
-        queued_wait: d.queued_wait.clone(),
-        active: d.active.clone(),
-        devices: devices.into_values().collect(),
+        task_owner: d.task_owner,
+        queued_run: d.queued_run,
+        queued_wait: d.queued_wait,
+        active: d.active,
+        devices,
         seq_ledger,
         delivered_log,
         stats: d.stats,
@@ -930,7 +1006,6 @@ mod tests {
     use super::*;
     use crate::config::SenseAidConfig;
     use crate::server::SenseAidServer;
-    use senseaid_device::Sensor;
 
     fn sample_server() -> SenseAidServer {
         let mut server = SenseAidServer::new(SenseAidConfig::default());
@@ -984,6 +1059,305 @@ mod tests {
         let mut bytes = encode_full(&snap, 0);
         bytes.push(0);
         assert!(decode_full(&bytes).is_err());
+    }
+
+    /// `apply_delta` as it was before it merged sorted runs in place:
+    /// every base record cloned into a map, the delta laid over it. Kept
+    /// as the reference the merge is compared against.
+    fn apply_delta_by_maps(
+        base: &ControlSnapshot,
+        d: &SnapshotDelta,
+    ) -> Result<ControlSnapshot, CodecError> {
+        if d.selections_base_len != base.selections.len() {
+            return Err(CodecError::Malformed("delta base selections mismatch"));
+        }
+        let mut devices: BTreeMap<ImeiHash, DeviceRecord> = base
+            .devices
+            .iter()
+            .map(|rec| (rec.imei, rec.clone()))
+            .collect();
+        for rec in &d.devices_changed {
+            devices.insert(rec.imei, rec.clone());
+        }
+        for imei in &d.devices_removed {
+            devices.remove(imei);
+        }
+        let mut statuses = base.statuses.clone();
+        for &(id, status) in &d.statuses_changed {
+            statuses.insert(id, status);
+        }
+        let mut seq_ledger = base.seq_ledger.clone();
+        for (imei, ledger) in &d.seq_changed {
+            seq_ledger.insert(*imei, ledger.clone());
+        }
+        let mut delivered_log = base.delivered_log.clone();
+        for &pair in &d.delivered_appended {
+            delivered_log.insert(pair);
+        }
+        let mut selections = TraceLog::new();
+        for entry in base.selections.entries() {
+            selections.push(entry.at, entry.item.clone());
+        }
+        for entry in &d.selections_appended {
+            if selections.last().is_some_and(|prev| entry.at < prev.at) {
+                return Err(CodecError::Malformed("delta selections not monotone"));
+            }
+            selections.push(entry.at, entry.item.clone());
+        }
+        Ok(ControlSnapshot {
+            taken_at: d.taken_at,
+            tasks: d.tasks.clone(),
+            next_request_id: d.next_request_id,
+            statuses,
+            task_owner: d.task_owner.clone(),
+            queued_run: d.queued_run.clone(),
+            queued_wait: d.queued_wait.clone(),
+            active: d.active.clone(),
+            devices: devices.into_values().collect(),
+            seq_ledger,
+            delivered_log,
+            stats: d.stats,
+            selections,
+        })
+    }
+
+    /// Strictly ascending IMEIs drawn from `picks` (each a step ≥ 1).
+    fn ascending(picks: &[u64]) -> Vec<ImeiHash> {
+        let mut at = 0;
+        picks
+            .iter()
+            .map(|step| {
+                at += step;
+                ImeiHash(at)
+            })
+            .collect()
+    }
+
+    fn record_of(imei: ImeiHash, battery_pct: f64) -> DeviceRecord {
+        let mut rec = crate::store::device_store::new_record(
+            imei,
+            495.0,
+            15.0,
+            battery_pct,
+            vec![Sensor::Barometer],
+            "GalaxyS4".to_owned(),
+            SimTime::ZERO,
+        );
+        rec.position = Some(GeoPoint::new(40.4284, -86.9138));
+        rec
+    }
+
+    /// A delta over `skeleton`'s request-scale state that changes and
+    /// removes the given devices and nothing else.
+    fn delta_over(
+        skeleton: &ControlSnapshot,
+        changed: Vec<ImeiHash>,
+        removed: Vec<ImeiHash>,
+    ) -> SnapshotDelta {
+        SnapshotDelta {
+            taken_at: SimTime::from_mins(3),
+            next_request_id: skeleton.next_request_id + 5,
+            tasks: skeleton.tasks.clone(),
+            task_owner: skeleton.task_owner.clone(),
+            queued_run: skeleton.queued_run.clone(),
+            queued_wait: Vec::new(),
+            active: skeleton.active.clone(),
+            stats: skeleton.stats,
+            devices_changed: changed
+                .into_iter()
+                .map(|imei| record_of(imei, 41.0))
+                .collect(),
+            devices_removed: removed,
+            statuses_changed: Vec::new(),
+            seq_changed: Vec::new(),
+            delivered_appended: Vec::new(),
+            selections_base_len: skeleton.selections.len(),
+            selections_appended: Vec::new(),
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use crate::persist::codec::{seal_frame, KIND_SNAPSHOT_FULL};
+        use crate::persist::{MemStorage, PersistConfig};
+        use proptest::prelude::*;
+        use senseaid_cellnet::CellId;
+
+        proptest! {
+            /// Merging the sorted runs in place gives exactly what laying
+            /// the delta over a map of the base gave — devices changed,
+            /// added and removed (also: removed though never present,
+            /// changed *and* removed), statuses, ledgers, delivered pairs,
+            /// the trace, and the refusal of a trace that runs backwards.
+            #[test]
+            fn apply_delta_equals_the_map_based_reference(
+                base_picks in prop::collection::vec(1u64..4, 0..60),
+                changed_picks in prop::collection::vec(1u64..6, 0..40),
+                removed_picks in prop::collection::vec(1u64..6, 0..40),
+                ids in prop::collection::vec(0u64..30, 0..20),
+                append_at_mins in 0u64..4,
+                base_len_off in 0usize..6,
+            ) {
+                let server = sample_server();
+                let skeleton = server.control_snapshot(SimTime::from_mins(2));
+                let mut base = skeleton.clone();
+                base.devices = ascending(&base_picks)
+                    .into_iter()
+                    .map(|imei| record_of(imei, 80.0))
+                    .collect();
+                let mut selection = skeleton.selections.entries()[0].clone();
+                // One minute is the base trace's last stamp: an append
+                // before it must be refused by both.
+                selection.at = SimTime::from_mins(append_at_mins);
+                let delta = SnapshotDelta {
+                    statuses_changed: ids
+                        .iter()
+                        .map(|&id| (RequestId(id), RequestStatus::Expired))
+                        .collect(),
+                    seq_changed: ids
+                        .iter()
+                        .map(|&id| (ImeiHash(id), SeqLedger { floor: id, ahead: BTreeSet::new() }))
+                        .collect(),
+                    delivered_appended: ids
+                        .iter()
+                        .map(|&id| (RequestId(id), ImeiHash(1000 + id)))
+                        .collect(),
+                    // Mostly the true base length, sometimes one that lies.
+                    selections_base_len: skeleton.selections.len() + base_len_off / 5,
+                    selections_appended: vec![selection],
+                    ..delta_over(&skeleton, ascending(&changed_picks), ascending(&removed_picks))
+                };
+                let want = apply_delta_by_maps(&base, &delta);
+                let got = apply_delta(base, delta);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        prop_assert!(got.devices.windows(2).all(|w| w[0].imei < w[1].imei));
+                        prop_assert_eq!(encode_full(&got, 3), encode_full(&want, 3));
+                    }
+                    (got, want) => prop_assert_eq!(got.err(), want.err()),
+                }
+            }
+
+            /// The snapshot writer that reads the stores where they lie
+            /// produces, byte for byte, the encoding of the materialised
+            /// snapshot — at 1, 2 and 8 shards, over histories that
+            /// deregister, re-register into freed slots, leave devices
+            /// unobserved (shard 0, no position) and migrate them across
+            /// shards, which is where `home` order and the shards' own
+            /// order could part ways. The device section is checked
+            /// against records fetched one IMEI at a time, so the
+            /// reference shares no walk with the writer.
+            #[test]
+            fn write_full_equals_encode_full_of_the_snapshot(
+                history in prop::collection::vec(
+                    (0u32..10, 1u64..40, -1.0f64..1.0, -1.0f64..1.0),
+                    0..160,
+                ),
+                layout in 0usize..3,
+            ) {
+                let centre = GeoPoint::new(40.4284, -86.9138);
+                let mut server = SenseAidServer::new(SenseAidConfig {
+                    shard_count: [1, 2, 8][layout],
+                    ..SenseAidConfig::default()
+                });
+                let spec = TaskSpec::builder(Sensor::Barometer)
+                    .region(CircleRegion::new(centre, 800.0))
+                    .sampling_period(SimDuration::from_mins(1))
+                    .sampling_duration(SimDuration::from_mins(30))
+                    .spatial_density(2)
+                    .build()
+                    .unwrap();
+                server.submit_task(spec, SimTime::ZERO).unwrap();
+                let mut live: BTreeSet<u64> = BTreeSet::new();
+                let mut now = SimTime::ZERO;
+                for &(op, id, a, b) in &history {
+                    now += SimDuration::from_secs(20);
+                    let imei = ImeiHash(id);
+                    match op {
+                        0..=2 => {
+                            server
+                                .register_device(
+                                    imei,
+                                    495.0,
+                                    15.0,
+                                    50.0 + 50.0 * a.abs(),
+                                    vec![Sensor::Barometer],
+                                    if b < 0.0 { "GalaxyS4" } else { "iPhone6" }.to_owned(),
+                                    now,
+                                )
+                                .unwrap();
+                            live.insert(id);
+                        }
+                        3..=5 => {
+                            let cell = (b > -0.5).then_some(CellId((a.abs() * 16.0) as usize));
+                            let at = centre.offset_by_meters(a * 700.0, b * 700.0);
+                            let _ = server.observe_device(imei, at, cell);
+                        }
+                        6 | 7 => {
+                            if server.deregister_device(imei).is_ok() {
+                                live.remove(&id);
+                            }
+                        }
+                        8 => {
+                            let _ = server.update_device_state(imei, 100.0 * a.abs(), 5.0, now);
+                        }
+                        _ => {
+                            server.poll(now).unwrap();
+                        }
+                    }
+                }
+                let snapshot = server.control_snapshot(now);
+                let one_by_one: Vec<DeviceRecord> = live
+                    .iter()
+                    .map(|&id| server.device(ImeiHash(id)).expect("registered"))
+                    .collect();
+                prop_assert_eq!(&snapshot.devices, &one_by_one);
+                prop_assert_eq!(server.durable_digest(now), encode_full(&snapshot, 0));
+                // And the file the persistor writes is the old writer's.
+                server
+                    .enable_persistence(Box::new(MemStorage::new()), PersistConfig::default(), now)
+                    .unwrap();
+                let storage = server.detach_persistence().unwrap();
+                prop_assert_eq!(
+                    storage.read("snap-00000001").unwrap(),
+                    seal_frame(KIND_SNAPSHOT_FULL, &encode_full(&snapshot, 0))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_refuses_device_records_out_of_order() {
+        let server = sample_server();
+        let mut snap = server.control_snapshot(SimTime::from_mins(2));
+        assert!(decode_full(&encode_full(&snap, 0)).is_ok());
+        snap.devices.swap(3, 4);
+        assert_eq!(
+            decode_full(&encode_full(&snap, 0)).err(),
+            Some(CodecError::Malformed("device records not ascending"))
+        );
+        snap.devices.swap(3, 4);
+        snap.devices[4].imei = snap.devices[3].imei;
+        assert_eq!(
+            decode_full(&encode_full(&snap, 0)).err(),
+            Some(CodecError::Malformed("device records not ascending"))
+        );
+
+        let decoded = |changed: &[u64], removed: &[u64]| {
+            let ids = |raw: &[u64]| raw.iter().copied().map(ImeiHash).collect();
+            let mut w = ByteWriter::new();
+            write_delta(&mut w, &delta_over(&snap, ids(changed), ids(removed)), 1, 0);
+            decode_delta(&w.into_bytes()).map(|_| ())
+        };
+        assert_eq!(decoded(&[1, 2], &[2, 7]), Ok(()));
+        assert_eq!(
+            decoded(&[2, 1], &[]),
+            Err(CodecError::Malformed("device records not ascending"))
+        );
+        assert_eq!(
+            decoded(&[], &[7, 7]),
+            Err(CodecError::Malformed("removed devices not ascending"))
+        );
     }
 
     #[test]

@@ -36,8 +36,9 @@ pub use crate::coordinator::{
 };
 use crate::error::SenseAidError;
 use crate::persist::chain::{recover_chain, Persistor};
+use crate::persist::codec::ByteWriter;
 use crate::persist::journal::JournalOp;
-use crate::persist::snapshot::encode_full;
+use crate::persist::snapshot::write_full;
 use crate::persist::{PersistConfig, PersistError, PersistStats, RecoveryReport, StorageBackend};
 use crate::policy::{ScoredPolicy, SelectionPolicy};
 use crate::request::{Request, RequestId, RequestStatus};
@@ -252,7 +253,10 @@ impl SenseAidServer {
     /// [`PersistConfig::full_every`] generations or when delta tracking
     /// cannot report. Dirty marks are cleared only when the backend
     /// accepted the write, so a refused write retries with a superset
-    /// delta next time.
+    /// delta next time; a state too large for the snapshot format is
+    /// refused the same way (counted in
+    /// [`PersistStats::snapshot_write_failures`]) and the server runs on
+    /// from its previous generation and the journal.
     pub fn take_snapshot(&mut self, now: SimTime) {
         let Some(persist) = self.persist.as_mut() else {
             self.snapshot = Some(self.coordinator.snapshot(now));
@@ -260,11 +264,11 @@ impl SenseAidServer {
             return;
         };
         let (result, full) = if persist.wants_full() {
-            (persist.persist_full(&self.coordinator.snapshot(now)), true)
+            (persist.persist_full(&self.coordinator.view(now)), true)
         } else {
             match self.coordinator.snapshot_delta(now) {
                 Some(delta) => (persist.persist_delta(&delta), false),
-                None => (persist.persist_full(&self.coordinator.snapshot(now)), true),
+                None => (persist.persist_full(&self.coordinator.view(now)), true),
             }
         };
         if let Ok(bytes) = result {
@@ -328,8 +332,9 @@ impl SenseAidServer {
     /// # Errors
     ///
     /// [`PersistError::Storage`] when the initial snapshot cannot be
-    /// written; the server is left without persistence, as before the
-    /// call.
+    /// written, [`PersistError::TooLarge`] when the state does not fit
+    /// the snapshot format; the server is left without persistence, as
+    /// before the call.
     pub fn enable_persistence(
         &mut self,
         storage: Box<dyn StorageBackend>,
@@ -337,8 +342,7 @@ impl SenseAidServer {
         now: SimTime,
     ) -> Result<(), PersistError> {
         self.coordinator.set_dirty_tracking(true);
-        let snapshot = self.coordinator.snapshot(now);
-        match Persistor::initialise(storage, config, &snapshot, 0) {
+        match Persistor::initialise(storage, config, &self.coordinator.view(now), 0) {
             Ok(persistor) => {
                 self.coordinator.clear_dirty();
                 self.persist = Some(persistor);
@@ -449,8 +453,7 @@ impl SenseAidServer {
         );
         self.last_recovery = Some(report.clone());
         self.coordinator.set_dirty_tracking(true);
-        let snapshot = self.coordinator.snapshot(now);
-        match Persistor::initialise(storage, config, &snapshot, next_seq) {
+        match Persistor::initialise(storage, config, &self.coordinator.view(now), next_seq) {
             Ok(persistor) => {
                 self.coordinator.clear_dirty();
                 self.persist = Some(persistor);
@@ -499,7 +502,10 @@ impl SenseAidServer {
     /// are byte-identical — the twin-server equivalence check used by the
     /// recovery tests and `senseaid recover`.
     pub fn durable_digest(&self, now: SimTime) -> Vec<u8> {
-        encode_full(&self.coordinator.snapshot(now), 0)
+        let mut w = ByteWriter::new();
+        write_full(&mut w, &self.coordinator.view(now), 0)
+            .expect("a resident population's device count fits the format's u32");
+        w.into_bytes()
     }
 
     /// The coordinator's state as a [`ControlSnapshot`], without storing

@@ -21,7 +21,7 @@ use senseaid_sim::SimTime;
 
 use crate::queues::{QueueEntry, RequestQueue};
 use crate::request::Request;
-use crate::store::device_store::DeviceRecord;
+use crate::store::device_store::{DeviceRecord, RecordView};
 use crate::store::task_store::RequestArena;
 use crate::store::{CandidateRow, DeviceIndex, QualificationProbe};
 use crate::task::TaskId;
@@ -57,6 +57,12 @@ impl Shard {
 
     pub fn insert_device(&mut self, record: DeviceRecord) {
         self.index.insert(record);
+    }
+
+    /// Loads a snapshot's share of devices, ascending by IMEI (see
+    /// [`DeviceIndex::extend_sorted`]).
+    pub fn extend_devices(&mut self, records: Vec<DeviceRecord>) {
+        self.index.extend_sorted(records);
     }
 
     pub fn remove_device(&mut self, imei: ImeiHash) -> Option<DeviceRecord> {
@@ -185,8 +191,9 @@ impl Shard {
             .map(|e| self.arena.get(e.slot).expect("entry slots are live"))
     }
 
-    /// All device records on this shard (for snapshots), in IMEI order.
-    pub fn device_records(&self) -> Vec<DeviceRecord> {
-        self.index.snapshot_records()
+    /// All device records on this shard (for snapshots), borrowed, in
+    /// IMEI order.
+    pub fn device_views(&self) -> Box<dyn Iterator<Item = RecordView<'_>> + '_> {
+        self.index.records()
     }
 }

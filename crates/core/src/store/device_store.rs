@@ -85,6 +85,87 @@ impl DeviceRecord {
     }
 }
 
+impl DeviceRecord {
+    /// This record, borrowed.
+    pub fn view(&self) -> RecordView<'_> {
+        RecordView {
+            imei: self.imei,
+            energy_budget_j: self.energy_budget_j,
+            critical_battery_pct: self.critical_battery_pct,
+            cs_energy_j: self.cs_energy_j,
+            battery_pct: self.battery_pct,
+            times_selected: self.times_selected,
+            last_comm: self.last_comm,
+            position: self.position,
+            cell: self.cell,
+            sensors: &self.sensors,
+            device_type: &self.device_type,
+            responsive: self.responsive,
+            data_valid: self.data_valid,
+            reliability: self.reliability,
+        }
+    }
+}
+
+/// One device's record read where the store keeps it: the fields of a
+/// [`DeviceRecord`], with the sensor list and the device-type string
+/// borrowed instead of cloned. What [`DeviceIndex::records`] yields, so a
+/// snapshot of a million devices is encoded without materialising a
+/// million records.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordView<'a> {
+    /// See [`DeviceRecord::imei`].
+    pub imei: ImeiHash,
+    /// See [`DeviceRecord::energy_budget_j`].
+    pub energy_budget_j: f64,
+    /// See [`DeviceRecord::critical_battery_pct`].
+    pub critical_battery_pct: f64,
+    /// See [`DeviceRecord::cs_energy_j`].
+    pub cs_energy_j: f64,
+    /// See [`DeviceRecord::battery_pct`].
+    pub battery_pct: f64,
+    /// See [`DeviceRecord::times_selected`].
+    pub times_selected: u64,
+    /// See [`DeviceRecord::last_comm`].
+    pub last_comm: SimTime,
+    /// See [`DeviceRecord::position`].
+    pub position: Option<GeoPoint>,
+    /// See [`DeviceRecord::cell`].
+    pub cell: Option<CellId>,
+    /// See [`DeviceRecord::sensors`].
+    pub sensors: &'a [Sensor],
+    /// See [`DeviceRecord::device_type`].
+    pub device_type: &'a str,
+    /// See [`DeviceRecord::responsive`].
+    pub responsive: bool,
+    /// See [`DeviceRecord::data_valid`].
+    pub data_valid: bool,
+    /// See [`DeviceRecord::reliability`].
+    pub reliability: f64,
+}
+
+impl RecordView<'_> {
+    /// An owned copy of the record.
+    pub fn to_record(&self) -> DeviceRecord {
+        DeviceRecord {
+            imei: self.imei,
+            energy_budget_j: self.energy_budget_j,
+            critical_battery_pct: self.critical_battery_pct,
+            cs_energy_j: self.cs_energy_j,
+            battery_pct: self.battery_pct,
+            times_selected: self.times_selected,
+            last_comm: self.last_comm,
+            position: self.position,
+            cell: self.cell,
+            sensors: self.sensors.to_vec(),
+            device_type: self.device_type.to_owned(),
+            responsive: self.responsive,
+            data_valid: self.data_valid,
+            reliability: self.reliability,
+        }
+    }
+}
+
 /// The server's registry of participating devices.
 ///
 /// Iteration order is deterministic (keyed by IMEI hash). Positions are
@@ -389,9 +470,9 @@ impl DeviceIndex for DeviceStore {
         });
     }
 
-    fn snapshot_records(&self) -> Vec<DeviceRecord> {
+    fn records(&self) -> Box<dyn Iterator<Item = RecordView<'_>> + '_> {
         // `records` is a BTreeMap keyed by IMEI, so values are ordered.
-        self.records.values().cloned().collect()
+        Box::new(self.records.values().map(DeviceRecord::view))
     }
 
     fn set_dirty_tracking(&mut self, on: bool) {

@@ -26,7 +26,7 @@ use senseaid_geo::{CircleRegion, GeoPoint};
 use senseaid_sim::{SimDuration, SimTime};
 
 use crate::request::Request;
-use device_store::DeviceRecord;
+use device_store::{DeviceRecord, RecordView};
 
 /// The qualification question, first class: which registered devices could
 /// serve `sensor` over `region` right now?
@@ -208,9 +208,25 @@ pub trait DeviceIndex: fmt::Debug + Send + Sync {
         n
     }
 
-    /// Every record held, cloned, in ascending IMEI order — the crash
-    /// snapshot's view of this shard's device datastore.
-    fn snapshot_records(&self) -> Vec<DeviceRecord>;
+    /// Every record held, borrowed where it lies, in ascending IMEI order
+    /// — the crash snapshot's view of this shard's device datastore.
+    fn records(&self) -> Box<dyn Iterator<Item = RecordView<'_>> + '_>;
+
+    /// [`records`](Self::records), cloned.
+    fn snapshot_records(&self) -> Vec<DeviceRecord> {
+        self.records().map(|view| view.to_record()).collect()
+    }
+
+    /// Loads `records` — strictly ascending by IMEI, none of them held
+    /// yet — leaving the index exactly as one [`insert`](Self::insert)
+    /// per record, in order, would: the loaded-snapshot counterpart of
+    /// registering devices one at a time. An index with a cheaper way to
+    /// fill itself from a sorted run overrides this.
+    fn extend_sorted(&mut self, records: Vec<DeviceRecord>) {
+        for record in records {
+            self.insert(record);
+        }
+    }
 
     /// Turns dirty-column tracking on or off. While on, every mutation
     /// (including removal) marks the touched IMEI so delta snapshots can

@@ -38,7 +38,7 @@ use senseaid_device::{ImeiHash, Sensor};
 use senseaid_geo::{GeoPoint, GridIndex};
 use senseaid_sim::SimTime;
 
-use crate::store::device_store::DeviceRecord;
+use crate::store::device_store::{DeviceRecord, RecordView};
 use crate::store::{CandidateRow, DeviceIndex, QualificationProbe};
 
 /// Dense index of one device's row in the column arrays. Slots are
@@ -66,6 +66,12 @@ fn sensor_bit(sensor: Sensor) -> u16 {
 
 fn sensor_mask(sensors: &[Sensor]) -> u16 {
     sensors.iter().fold(0, |mask, s| mask | sensor_bit(*s))
+}
+
+/// The status byte of a live slot holding `record`.
+fn live_flags(record: &DeviceRecord) -> u8 {
+    LIVE | if record.responsive { RESPONSIVE } else { 0 }
+        | if record.data_valid { DATA_VALID } else { 0 }
 }
 
 /// Everything a candidate is scored on: 64 contiguous bytes.
@@ -100,6 +106,19 @@ impl HotRow {
         times_selected: 0,
         last_comm: SimTime::ZERO,
     };
+
+    fn of(record: &DeviceRecord) -> HotRow {
+        HotRow {
+            imei: record.imei,
+            energy_budget_j: record.energy_budget_j,
+            critical_battery_pct: record.critical_battery_pct,
+            cs_energy_j: record.cs_energy_j,
+            battery_pct: record.battery_pct,
+            reliability: record.reliability,
+            times_selected: record.times_selected,
+            last_comm: record.last_comm,
+        }
+    }
 
     fn candidate(&self) -> CandidateRow {
         CandidateRow {
@@ -228,19 +247,8 @@ impl SoaDeviceStore {
     /// Overwrites every column of `slot` from `record` and syncs the grid.
     fn write(&mut self, slot: DeviceSlot, record: DeviceRecord) {
         let i = slot.0 as usize;
-        self.hot[i] = HotRow {
-            imei: record.imei,
-            energy_budget_j: record.energy_budget_j,
-            critical_battery_pct: record.critical_battery_pct,
-            cs_energy_j: record.cs_energy_j,
-            battery_pct: record.battery_pct,
-            reliability: record.reliability,
-            times_selected: record.times_selected,
-            last_comm: record.last_comm,
-        };
-        self.flags[i] = LIVE
-            | if record.responsive { RESPONSIVE } else { 0 }
-            | if record.data_valid { DATA_VALID } else { 0 };
+        self.hot[i] = HotRow::of(&record);
+        self.flags[i] = live_flags(&record);
         self.sensor_mask[i] = sensor_mask(&record.sensors);
         self.type_id[i] = self.intern_type(&record.device_type);
         self.position[i] = record.position;
@@ -254,11 +262,11 @@ impl SoaDeviceStore {
         }
     }
 
-    /// Materialises the full record stored at `slot` (cold path).
-    fn materialise(&self, slot: DeviceSlot) -> DeviceRecord {
+    /// The full record stored at `slot`, read out of the columns.
+    fn view(&self, slot: DeviceSlot) -> RecordView<'_> {
         let i = slot.0 as usize;
         let hot = &self.hot[i];
-        DeviceRecord {
+        RecordView {
             imei: hot.imei,
             energy_budget_j: hot.energy_budget_j,
             critical_battery_pct: hot.critical_battery_pct,
@@ -268,8 +276,8 @@ impl SoaDeviceStore {
             last_comm: hot.last_comm,
             position: self.position[i],
             cell: self.cell[i],
-            sensors: self.sensors[i].clone(),
-            device_type: self.type_names[self.type_id[i] as usize].clone(),
+            sensors: &self.sensors[i],
+            device_type: &self.type_names[self.type_id[i] as usize],
             responsive: self.flags[i] & RESPONSIVE != 0,
             data_valid: self.flags[i] & DATA_VALID != 0,
             reliability: hot.reliability,
@@ -318,7 +326,7 @@ impl DeviceIndex for SoaDeviceStore {
         self.slot_of.get(&imei)?;
         self.mark(imei);
         let slot = self.slot_of.remove(&imei)?;
-        let record = self.materialise(slot);
+        let record = self.view(slot).to_record();
         let i = slot.0 as usize;
         self.grid.remove(slot);
         self.flags[i] = 0; // dead slots can never qualify
@@ -334,7 +342,9 @@ impl DeviceIndex for SoaDeviceStore {
     }
 
     fn get(&self, imei: ImeiHash) -> Option<DeviceRecord> {
-        self.slot_of.get(&imei).map(|slot| self.materialise(*slot))
+        self.slot_of
+            .get(&imei)
+            .map(|slot| self.view(*slot).to_record())
     }
 
     fn cell_of(&self, imei: ImeiHash) -> Option<CellId> {
@@ -477,12 +487,60 @@ impl DeviceIndex for SoaDeviceStore {
         n
     }
 
-    fn snapshot_records(&self) -> Vec<DeviceRecord> {
+    fn records(&self) -> Box<dyn Iterator<Item = RecordView<'_>> + '_> {
         // `slot_of` is keyed by IMEI, so iteration is already ordered.
-        self.slot_of
-            .values()
-            .map(|slot| self.materialise(*slot))
-            .collect()
+        Box::new(self.slot_of.values().map(|slot| self.view(*slot)))
+    }
+
+    fn extend_sorted(&mut self, records: Vec<DeviceRecord>) {
+        // The bulk build is for the job it is named after: a store no
+        // slot has ever been allocated in, and a strictly ascending run.
+        // Anything else is a sequence of registrations.
+        if !self.hot.is_empty() || !records.windows(2).all(|w| w[0].imei < w[1].imei) {
+            for record in records {
+                self.insert(record);
+            }
+            return;
+        }
+        let n = records.len();
+        self.hot.reserve_exact(n);
+        self.flags.reserve_exact(n);
+        self.sensor_mask.reserve_exact(n);
+        self.type_id.reserve_exact(n);
+        self.position.reserve_exact(n);
+        self.cell.reserve_exact(n);
+        self.sensors.reserve_exact(n);
+        if self.track_dirty {
+            self.dirty
+                .append(&mut records.iter().map(|r| r.imei).collect());
+        }
+        // Slot = place in the run, as sequential inserts would assign.
+        let mut placed: Vec<(DeviceSlot, GeoPoint)> = Vec::with_capacity(n);
+        let mut last_type: Option<u32> = None;
+        for (i, record) in records.into_iter().enumerate() {
+            let type_id = match last_type {
+                Some(id) if self.type_names[id as usize] == record.device_type => id,
+                _ => self.intern_type(&record.device_type),
+            };
+            last_type = Some(type_id);
+            self.hot.push(HotRow::of(&record));
+            self.flags.push(live_flags(&record));
+            self.sensor_mask.push(sensor_mask(&record.sensors));
+            self.type_id.push(type_id);
+            self.position.push(record.position);
+            self.cell.push(record.cell);
+            self.sensors.push(record.sensors);
+            if let Some(position) = record.position {
+                placed.push((DeviceSlot(i as u32), position));
+            }
+        }
+        self.slot_of = self
+            .hot
+            .iter()
+            .enumerate()
+            .map(|(i, row)| (row.imei, DeviceSlot(i as u32)))
+            .collect();
+        self.grid = GridIndex::from_run(Self::INDEX_CELL_M, &placed);
     }
 
     fn set_dirty_tracking(&mut self, on: bool) {
@@ -742,6 +800,123 @@ mod tests {
                 prop_assert_eq!(walked(aos, &p), aos_rows);
                 prop_assert_eq!(soa.qualified_count(&p), soa_rows.len());
                 prop_assert_eq!(aos.qualified_count(&p), soa_rows.len());
+            }
+
+            /// A store loaded by `extend_sorted` is the store the same
+            /// records `insert`ed in order fill: same records, same slot
+            /// for every IMEI, same dirty marks, every probe answered
+            /// alike and walked in the same order — and it stays so
+            /// under further churn, freed slots reused alike.
+            #[test]
+            fn bulk_loaded_equals_inserted_one_by_one(
+                shapes in prop::collection::vec(
+                    (1u64..5, 0u32..4, -1.0f64..1.0, -1.0f64..1.0),
+                    0..80,
+                ),
+                track_dirty in any::<bool>(),
+                history in prop::collection::vec(
+                    (0u32..11, 1u64..25, -1.0f64..1.0, -1.0f64..1.0),
+                    0..40,
+                ),
+                radius in 50.0f64..1500.0,
+            ) {
+                // Ascending IMEIs over the range the churn history hits.
+                let mut imei = 0u64;
+                let records: Vec<DeviceRecord> = shapes
+                    .iter()
+                    .map(|&(gap, kind, a, b)| {
+                        imei += gap;
+                        let mut r = record(imei);
+                        r.battery_pct = 50.0 + 50.0 * a.abs();
+                        r.times_selected = kind as u64;
+                        r.responsive = a > -0.9;
+                        r.data_valid = b > -0.9;
+                        match kind {
+                            // Never observed: no position, no cell.
+                            0 => {}
+                            1 => {
+                                r.sensors = vec![Sensor::Accelerometer];
+                                r.device_type = "iPhone6".to_owned();
+                                r.position = Some(centre().offset_by_meters(a * 900.0, b * 900.0));
+                            }
+                            _ => {
+                                r.position = Some(centre().offset_by_meters(a * 900.0, b * 900.0));
+                                r.cell = Some(senseaid_cellnet::CellId(kind as usize));
+                            }
+                        }
+                        r
+                    })
+                    .collect();
+                let mut bulk = SoaDeviceStore::new();
+                let mut single = SoaDeviceStore::new();
+                bulk.set_dirty_tracking(track_dirty);
+                single.set_dirty_tracking(track_dirty);
+                bulk.extend_sorted(records.clone());
+                for r in records.clone() {
+                    single.insert(r);
+                }
+                let probe = probe(radius);
+                let walk_order = |store: &SoaDeviceStore| {
+                    let mut rows = Vec::new();
+                    store.for_each_candidate(&probe, &mut |row| rows.push(*row));
+                    rows
+                };
+                let agree = |bulk: &SoaDeviceStore, single: &SoaDeviceStore| {
+                    prop_assert_eq!(bulk.snapshot_records(), single.snapshot_records());
+                    prop_assert_eq!(bulk.len(), single.len());
+                    prop_assert_eq!(bulk.slot_capacity(), single.slot_capacity());
+                    for id in 0..=imei.max(25) {
+                        prop_assert_eq!(bulk.slot_of(ImeiHash(id)), single.slot_of(ImeiHash(id)));
+                    }
+                    prop_assert_eq!(bulk.dirty_touched(), single.dirty_touched());
+                    let (mut b_rows, mut s_rows) = (Vec::new(), Vec::new());
+                    bulk.candidates_into(&probe, &mut b_rows);
+                    single.candidates_into(&probe, &mut s_rows);
+                    prop_assert_eq!(b_rows, s_rows);
+                    prop_assert_eq!(walk_order(bulk), walk_order(single));
+                };
+                agree(&bulk, &single);
+                prop_assert_eq!(bulk.snapshot_records(), records);
+                for step in &history {
+                    apply(&mut bulk, *step);
+                    apply(&mut single, *step);
+                }
+                agree(&bulk, &single);
+                // Remove → re-register lands in the same freed slot.
+                if let Some(first) = bulk.snapshot_records().first().map(|r| r.imei) {
+                    let freed = bulk.slot_of(first);
+                    bulk.remove(first);
+                    single.remove(first);
+                    bulk.insert(record(1_000));
+                    single.insert(record(1_000));
+                    prop_assert_eq!(bulk.slot_of(ImeiHash(1_000)), freed);
+                    agree(&bulk, &single);
+                }
+            }
+        }
+
+        /// Input that is not the bulk build's job — a store that already
+        /// holds devices, a run that is not ascending — is a sequence of
+        /// registrations, repeats included.
+        #[test]
+        fn extend_sorted_outside_its_job_is_the_insert_loop() {
+            let unsorted = vec![record(5), record(3), record(5), record(9)];
+            let mut bulk = SoaDeviceStore::new();
+            let mut single = SoaDeviceStore::new();
+            bulk.extend_sorted(unsorted.clone());
+            for r in unsorted {
+                single.insert(r);
+            }
+            assert_eq!(bulk.snapshot_records(), single.snapshot_records());
+            assert_eq!(bulk.slot_capacity(), 3);
+            let more = vec![record(1), record(4), record(9)];
+            bulk.extend_sorted(more.clone());
+            for r in more {
+                single.insert(r);
+            }
+            assert_eq!(bulk.snapshot_records(), single.snapshot_records());
+            for id in 0..10 {
+                assert_eq!(bulk.slot_of(ImeiHash(id)), single.slot_of(ImeiHash(id)));
             }
         }
     }

@@ -9,14 +9,17 @@
 //! back in) fails loudly rather than showing up as a perf drift. The
 //! second property is what the gather→select fold bought: a `poll` that
 //! assigns one request allocates the same number of times whether 100 or
-//! 5 000 devices qualify.
+//! 5 000 devices qualify. The third is what encoding a snapshot straight
+//! from the stores bought: `enable_persistence` allocates the same number
+//! of times whether 200 or 5 000 devices are registered — no record, no
+//! sensor list and no type string is cloned on the way to disk.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use senseaid_cellnet::CellularNetwork;
-use senseaid_core::{SenseAidConfig, SenseAidServer, TaskSpec};
+use senseaid_core::{MemStorage, PersistConfig, SenseAidConfig, SenseAidServer, TaskSpec};
 use senseaid_device::{ImeiHash, Sensor};
 use senseaid_geo::{CircleRegion, GeoPoint, TowerSite};
 use senseaid_sim::SimTime;
@@ -199,5 +202,65 @@ fn an_assigning_poll_allocates_nothing_per_candidate() {
         few, many,
         "poll allocated {few} times over 100 candidates but {many} over 5 000: \
          a candidate or eligible vector is back on the scored path"
+    );
+}
+
+/// Allocations made by `enable_persistence` — one full snapshot, framed
+/// and written to memory — on a server holding `devices` devices over
+/// eight shards.
+fn allocations_of_one_initial_snapshot(devices: u64) -> u64 {
+    let mut server = SenseAidServer::new(SenseAidConfig {
+        shard_count: 8,
+        ..SenseAidConfig::default()
+    });
+    for i in 1..=devices {
+        server
+            .register_device(
+                ImeiHash(i),
+                495.0,
+                15.0,
+                80.0,
+                vec![Sensor::Barometer, Sensor::Light],
+                "GalaxyS4".to_owned(),
+                SimTime::ZERO,
+            )
+            .expect("registration");
+        let p = centre().offset_by_meters(
+            ((i * 37) % 3_000) as f64 - 1_500.0,
+            ((i * 53) % 3_000) as f64 - 1_500.0,
+        );
+        server
+            .observe_device(
+                ImeiHash(i),
+                p,
+                Some(senseaid_cellnet::CellId(i as usize % 16)),
+            )
+            .expect("observe");
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    server
+        .enable_persistence(
+            Box::new(MemStorage::new()),
+            PersistConfig::default(),
+            SimTime::ZERO,
+        )
+        .expect("memory storage accepts the snapshot");
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let written = server.persist_stats().expect("armed").snapshot_bytes_last;
+    assert!(
+        written > devices * 100,
+        "the snapshot holds every device: {written} bytes"
+    );
+    after - before
+}
+
+#[test]
+fn an_initial_snapshot_allocates_nothing_per_device() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let few = allocations_of_one_initial_snapshot(200);
+    let many = allocations_of_one_initial_snapshot(5_000);
+    assert_eq!(
+        few, many,
+        "enable_persistence allocated {few} times at 200 devices but {many} at 5 000:          a per-device clone, or a snapshot buffer that grows as it fills, is back"
     );
 }

@@ -155,6 +155,52 @@ impl<K: Copy + Eq + Ord + std::hash::Hash> GridIndex<K> {
         }
     }
 
+    /// An index over `run`, equal in every observable — bucket order
+    /// included — to [`insert`](Self::insert)ing its items one by one, in
+    /// order, into an empty index; the way to load a population that is
+    /// already in hand (a recovered snapshot).
+    ///
+    /// A run in strictly ascending key order is bucketed with one sort:
+    /// each item is tagged with its (coarse, fine) cell and its place in
+    /// the run, and the place is the last sort key, so every bucket holds
+    /// its members in insertion order and every map is built once from
+    /// sorted input. Any other run takes the insert loop, which is what
+    /// defines a repeated key as a move.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell_m` is not positive and finite.
+    pub fn from_run(cell_m: f64, run: &[(K, GeoPoint)]) -> Self {
+        let mut idx = GridIndex::new(cell_m);
+        if !run.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            for &(key, position) in run {
+                idx.insert(key, position);
+            }
+            return idx;
+        }
+        let mut tags: Vec<_> = run
+            .iter()
+            .enumerate()
+            .map(|(at, &(_, position))| {
+                let fine = idx.fine_cell_of(position);
+                (Self::coarse_cell_of(fine), fine, at)
+            })
+            .collect();
+        tags.sort_unstable();
+        for under_coarse in tags.chunk_by(|a, b| a.0 == b.0) {
+            let cell = CoarseCell {
+                total: under_coarse.len(),
+                fine: under_coarse
+                    .chunk_by(|a, b| a.1 == b.1)
+                    .map(|bucket| (bucket[0].1, bucket.iter().map(|tag| run[tag.2]).collect()))
+                    .collect(),
+            };
+            idx.coarse.insert(under_coarse[0].0, cell);
+        }
+        idx.positions = run.iter().copied().collect();
+        idx
+    }
+
     fn fine_cell_of(&self, p: GeoPoint) -> (i32, i32) {
         (
             (p.lat_deg() / self.cell_deg).floor() as i32,
@@ -538,6 +584,65 @@ mod tests {
                 .collect();
             prop_assert_eq!(sorted_keys(&idx, &region), brute.clone());
             prop_assert_eq!(idx.count_in_circle(&region), brute.len());
+        }
+
+        /// An index built from a run is the index sequential inserts
+        /// fill: same keys, same positions, and every circle walk visits
+        /// the same keys in the *same order* — for the ascending run the
+        /// bulk build takes and for a run with repeated keys, which moves
+        /// them — and the two stay alike under further churn.
+        #[test]
+        fn built_from_a_run_equals_filled_by_inserts(
+            points in prop::collection::vec((0u32..3, -1.0f64..1.0, -1.0f64..1.0), 0..150),
+            key_gap in 1u32..4,
+            repeat_keys in 0u32..4,
+            lat in -80.0f64..80.0,
+            lon in -170.0f64..170.0,
+            radius in 10.0f64..2500.0,
+            cell_m in 50.0f64..1500.0,
+            churn in prop::collection::vec((0u32..400, -1.0f64..1.0, -1.0f64..1.0), 0..20),
+        ) {
+            let query = GeoPoint::new(lat, lon);
+            let run: Vec<(u32, GeoPoint)> = points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let key = if repeat_keys == 0 { i as u32 % 11 } else { i as u32 * key_gap };
+                    (key, place(query, radius, *p))
+                })
+                .collect();
+            let mut built = GridIndex::from_run(cell_m, &run);
+            let mut filled = GridIndex::new(cell_m);
+            for &(key, position) in &run {
+                filled.insert(key, position);
+            }
+            let walk = |idx: &GridIndex<u32>, region: &CircleRegion| {
+                let mut order = Vec::new();
+                idx.for_each_in_circle(region, |k| order.push(k));
+                order
+            };
+            // The query circle, and one wide enough that whole coarse
+            // cells are emitted without a per-point test.
+            let regions = [CircleRegion::new(query, radius), CircleRegion::new(query, 20_000.0)];
+            for region in &regions {
+                prop_assert_eq!(walk(&built, region), walk(&filled, region));
+                prop_assert_eq!(built.count_in_circle(region), filled.count_in_circle(region));
+            }
+            prop_assert_eq!(built.len(), filled.len());
+            prop_assert_eq!(built.iter().collect::<Vec<_>>(), filled.iter().collect::<Vec<_>>());
+            for &(key, a, b) in &churn {
+                if a < -0.5 {
+                    prop_assert_eq!(built.remove(key), filled.remove(key));
+                } else {
+                    let position = place(query, radius, (1, a, b));
+                    built.insert(key, position);
+                    filled.insert(key, position);
+                }
+            }
+            for region in &regions {
+                prop_assert_eq!(walk(&built, region), walk(&filled, region));
+            }
+            prop_assert_eq!(built.iter().collect::<Vec<_>>(), filled.iter().collect::<Vec<_>>());
         }
     }
 }

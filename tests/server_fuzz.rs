@@ -340,6 +340,128 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// A frame can be intact and still wrong: device records out of order
+// ---------------------------------------------------------------------
+//
+// Every writer emits device records strictly ascending by IMEI, and
+// recovery builds on it (a sorted-run bulk load, a two-run delta merge).
+// A frame that passes its CRC with the order broken is a buggy writer's
+// output, not a disk fault — the decoder must still refuse it, and the
+// recovery ladder must fall back to the generation below.
+
+use senseaid::cellnet::CellId;
+use senseaid::core::persist::codec::{open_frame, seal_frame, CodecError, KIND_SNAPSHOT_FULL};
+use senseaid::core::StorageBackend;
+
+/// IMEIs whose eight little-endian bytes occur nowhere else in a payload.
+const MARKED: [u64; 4] = [
+    0x5ea5_e1d0_0000_00a1,
+    0x5ea5_e1d0_0000_00b2,
+    0x5ea5_e1d0_0000_00c3,
+    0x5ea5_e1d0_0000_00d4,
+];
+
+/// A persisted server of four same-shaped devices in four different
+/// cells and no tasks — so each IMEI appears once, at the head of its
+/// record — as `(storage, digest, full-snapshot payload, offset of each
+/// record in it)`.
+fn four_device_generation() -> (Box<dyn StorageBackend>, Vec<u8>, Vec<u8>, Vec<usize>) {
+    let mut server = SenseAidServer::new(SenseAidConfig {
+        shard_count: 2,
+        ..SenseAidConfig::default()
+    });
+    for (k, imei) in MARKED.into_iter().enumerate() {
+        server
+            .register_device(
+                ImeiHash(imei),
+                495.0,
+                15.0,
+                60.0,
+                vec![Sensor::Barometer],
+                "GalaxyS4".to_owned(),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        server
+            .observe_device(ImeiHash(imei), campus(), Some(CellId(k)))
+            .unwrap();
+    }
+    let digest = server.durable_digest(SimTime::ZERO);
+    server
+        .enable_persistence(
+            Box::new(MemStorage::new()),
+            PersistConfig::default(),
+            SimTime::ZERO,
+        )
+        .unwrap();
+    let storage = server.detach_persistence().unwrap();
+    let frame = storage.read("snap-00000001").unwrap();
+    let (kind, payload) = open_frame(&frame).unwrap();
+    assert_eq!(kind, KIND_SNAPSHOT_FULL);
+    let offsets: Vec<usize> = MARKED
+        .iter()
+        .map(|imei| {
+            let at: Vec<usize> = payload
+                .windows(8)
+                .enumerate()
+                .filter(|(_, w)| *w == imei.to_le_bytes())
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(at.len(), 1, "imei {imei:#x} marks exactly one record");
+            at[0]
+        })
+        .collect();
+    assert!(offsets
+        .windows(2)
+        .all(|w| w[1] - w[0] == offsets[1] - offsets[0]));
+    (storage, digest, payload.to_vec(), offsets)
+}
+
+/// Stores `payload`, validly sealed, as generation 2 above the intact
+/// generation 1 and recovers: the frame must be refused by name, and the
+/// ladder must land on generation 1 with the original state.
+fn refused_and_fallen_back_from(
+    mut storage: Box<dyn StorageBackend>,
+    digest: &[u8],
+    payload: &[u8],
+) {
+    let frame = seal_frame(KIND_SNAPSHOT_FULL, payload);
+    assert_eq!(
+        validate_snapshot_frame(&frame),
+        Err(CodecError::Malformed("device records not ascending"))
+    );
+    storage.write("snap-00000002", &frame).unwrap();
+    let mut recovered = SenseAidServer::new(SenseAidConfig {
+        shard_count: 2,
+        ..SenseAidConfig::default()
+    });
+    let report = recovered
+        .recover_from_storage(storage, PersistConfig::default(), SimTime::ZERO)
+        .unwrap();
+    assert_eq!(report.corrupt_generations, vec![2]);
+    assert_eq!(report.loaded_generation, Some(1));
+    assert_eq!(recovered.durable_digest(SimTime::ZERO), digest);
+}
+
+#[test]
+fn a_snapshot_with_two_device_records_swapped_is_refused() {
+    let (storage, digest, mut payload, at) = four_device_generation();
+    let len = at[1] - at[0];
+    let (head, tail) = payload.split_at_mut(at[2]);
+    head[at[1]..at[1] + len].swap_with_slice(&mut tail[..len]);
+    refused_and_fallen_back_from(storage, &digest, &payload);
+}
+
+#[test]
+fn a_snapshot_naming_one_imei_twice_under_two_cells_is_refused() {
+    // Loaded, this would put the device on two shards (cells 1 and 2 map
+    // to different shards) while `home` names only the second.
+    let (storage, digest, mut payload, at) = four_device_generation();
+    payload.copy_within(at[1]..at[1] + 8, at[2]);
+    refused_and_fallen_back_from(storage, &digest, &payload);
+}
+
+// ---------------------------------------------------------------------
 // Decode never panics: the live wire codec under byte mutation
 // ---------------------------------------------------------------------
 //
